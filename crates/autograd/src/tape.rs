@@ -9,10 +9,19 @@
 //! redistributions) are handled by the trainers: block outputs are extracted
 //! as plain matrices and re-enter the next tape as [`Tape::input`] leaves,
 //! while incoming gradients are injected as extra seeds.
+//!
+//! # Gradient lifetime
+//!
+//! Only leaves keep their gradient. A non-leaf node's gradient is consumed
+//! by its propagation and returned to the workspace on the spot, so at most
+//! the gradients of the not-yet-propagated frontier are alive at any point
+//! of a sweep instead of one per node. [`Tape::grad`] is therefore `None`
+//! for every propagated non-leaf node; `input` and `param` leaves — the
+//! only gradients the trainers read — accumulate across sweeps as before.
 
 use std::rc::Rc;
 
-use dgnn_tensor::{Csr, Dense};
+use dgnn_tensor::{workspace, Csr, Dense};
 
 use crate::params::{ParamId, ParamStore};
 
@@ -65,6 +74,41 @@ enum Op {
         labels: Rc<Vec<u32>>,
         probs: Dense,
     },
+    /// Fused LSTM cell: everything between the two gate products `gx`,
+    /// `gh` and the new state. This node's value is the cell memory `c`;
+    /// the node right after it is its [`Op::LstmHidden`], whose value is
+    /// `h`. `gates` (`n×4h` activations `[i f g o]`) and `tanh_c` are
+    /// cached for the backward pass.
+    LstmCell {
+        gx: Var,
+        gh: Var,
+        bias: Var,
+        c_prev: Var,
+        gates: Dense,
+        tanh_c: Dense,
+    },
+    /// The hidden-state output of the [`Op::LstmCell`] one node earlier,
+    /// which propagates for both.
+    LstmHidden,
+}
+
+impl Op {
+    /// Matrices the op holds beside its node's value.
+    fn caches(&self) -> Vec<&Dense> {
+        match self {
+            Op::SoftmaxXent { probs, .. } => vec![probs],
+            Op::LstmCell { gates, tanh_c, .. } => vec![gates, tanh_c],
+            _ => Vec::new(),
+        }
+    }
+
+    fn into_caches(self) -> Vec<Dense> {
+        match self {
+            Op::SoftmaxXent { probs, .. } => vec![probs],
+            Op::LstmCell { gates, tanh_c, .. } => vec![gates, tanh_c],
+            _ => Vec::new(),
+        }
+    }
 }
 
 struct Node {
@@ -113,10 +157,13 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Total `f32` elements held by node values — the "activation memory" of
-    /// this tape, used by the memory-accounting cross-checks.
+    /// Total `f32` elements held by node values and op caches — the
+    /// "activation memory" of this tape.
     pub fn value_elems(&self) -> usize {
-        self.nodes.iter().map(|n| n.value.len()).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.value.len() + n.op.caches().iter().map(|c| c.len()).sum::<usize>())
+            .sum()
     }
 
     fn push(&mut self, op: Op, value: Dense, requires_grad: bool) -> Var {
@@ -256,7 +303,6 @@ impl Tape {
     pub fn narrow_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
         let value = self.value(x).narrow_cols(start, len);
         let rg = self.rg(x);
-        let _ = len;
         self.push(Op::NarrowCols { x, start }, value, rg)
     }
 
@@ -345,11 +391,44 @@ impl Tape {
         )
     }
 
+    /// Fused LSTM cell from the gate products `gx = x·Wx` and
+    /// `gh = h_prev·Wh` (`n×4h`, gates `[i f g o]`), the `1×4h` bias and
+    /// the previous cell memory: returns `(h, c)` as two nodes, so either
+    /// can be read, carried or seeded
+    /// ([`dgnn_tensor::lstm::lstm_cell_forward`] is the kernel).
+    ///
+    /// The two outputs propagate together, in the first `backward` call in
+    /// which either holds a gradient: every gradient of `h` *and* `c` must
+    /// arrive within that one call. Seeding either of them in a later call
+    /// panics, like any other seed on a propagated node.
+    pub fn lstm_cell(&mut self, gx: Var, gh: Var, bias: Var, c_prev: Var) -> (Var, Var) {
+        let out = dgnn_tensor::lstm::lstm_cell_forward(
+            self.value(gx),
+            self.value(gh),
+            self.value(bias),
+            self.value(c_prev),
+        );
+        let rg = self.rg(gx) || self.rg(gh) || self.rg(bias) || self.rg(c_prev);
+        let op = Op::LstmCell {
+            gx,
+            gh,
+            bias,
+            c_prev,
+            gates: out.gates,
+            tanh_c: out.tanh_c,
+        };
+        let c = self.push(op, out.c, rg);
+        let h = self.push(Op::LstmHidden, out.h, rg);
+        (h, c)
+    }
+
     /// Runs reverse-mode accumulation from the given `(variable, gradient)`
     /// seeds. A plain scalar loss is seeded with `Dense::ones(1, 1)`.
     ///
     /// Gradients accumulate across repeated calls on the same tape only if
-    /// the caller seeds disjoint sinks; typical use is a single call.
+    /// the caller seeds disjoint sinks; typical use is a single call. Leaves
+    /// keep their gradient for [`Tape::grad`]; every other node's is
+    /// released once propagated (see the module docs).
     pub fn backward(&mut self, seeds: &[(Var, Dense)]) {
         for (v, g) in seeds {
             assert_eq!(
@@ -371,12 +450,29 @@ impl Tape {
             if !self.nodes[i].requires_grad || self.nodes[i].propagated {
                 continue;
             }
-            let Some(g) = self.grads[i].take() else {
-                continue;
-            };
-            self.nodes[i].propagated = true;
-            self.propagate(i, &g);
-            self.grads[i] = Some(g);
+            match self.nodes[i].op {
+                // Waits for its cell node, which needs dh and dc together.
+                Op::LstmHidden => {}
+                Op::LstmCell { .. } => {
+                    let (dh, dc) = (self.grads[i + 1].take(), self.grads[i].take());
+                    if dh.is_none() && dc.is_none() {
+                        continue;
+                    }
+                    self.nodes[i].propagated = true;
+                    self.nodes[i + 1].propagated = true;
+                    self.propagate_lstm_cell(i, dh.as_ref(), dc.as_ref());
+                    dh.into_iter().chain(dc).for_each(workspace::recycle);
+                }
+                Op::Leaf => self.nodes[i].propagated |= self.grads[i].is_some(),
+                _ => {
+                    let Some(g) = self.grads[i].take() else {
+                        continue;
+                    };
+                    self.nodes[i].propagated = true;
+                    self.propagate(i, &g);
+                    workspace::recycle(g);
+                }
+            }
         }
     }
 
@@ -387,9 +483,16 @@ impl Tape {
     }
 
     fn accumulate(&mut self, v: Var, delta: Dense) {
-        if !self.nodes[v.0].requires_grad {
+        let node = &self.nodes[v.0];
+        if !node.requires_grad {
+            workspace::recycle(delta);
             return;
         }
+        assert!(
+            !node.propagated || matches!(node.op, Op::Leaf),
+            "a gradient reached a node whose own gradient was already \
+             propagated and released in an earlier backward stage"
+        );
         match &mut self.grads[v.0] {
             Some(acc) => acc.add_assign(&delta),
             slot => *slot = Some(delta),
@@ -402,11 +505,17 @@ impl Tape {
         match &self.nodes[i].op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
+                // An operand that takes no gradient (the pre-aggregated
+                // first-layer input is a constant) costs no GEMM.
                 let (a, b) = (*a, *b);
-                let da = g.matmul_transb(self.value(b));
-                let db = self.value(a).matmul_transa(g);
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                if self.rg(a) {
+                    let da = g.matmul_transb(self.value(b));
+                    self.accumulate(a, da);
+                }
+                if self.rg(b) {
+                    let db = self.value(a).matmul_transa(g);
+                    self.accumulate(b, db);
+                }
             }
             Op::Spmm { a, x } => {
                 let x = *x;
@@ -524,7 +633,34 @@ impl Tape {
                 dz.scale_assign(gs / s as f32);
                 self.accumulate(logits, dz);
             }
+            Op::LstmCell { .. } | Op::LstmHidden => {
+                unreachable!("the fused cell propagates through propagate_lstm_cell")
+            }
         }
+    }
+
+    /// Backward of the fused cell at node `i` (its `h` is node `i + 1`):
+    /// one kernel pass from `(dh, dc)` to `d_pre` — the gradient of both
+    /// gate products and, row-summed, of the bias — and `d_c_prev`.
+    fn propagate_lstm_cell(&mut self, i: usize, dh: Option<&Dense>, dc: Option<&Dense>) {
+        let Op::LstmCell {
+            gx,
+            gh,
+            bias,
+            c_prev,
+            gates,
+            tanh_c,
+        } = &self.nodes[i].op
+        else {
+            unreachable!("caller matched the op")
+        };
+        let (gx, gh, bias, c_prev) = (*gx, *gh, *bias, *c_prev);
+        let (d_pre, d_c_prev) =
+            dgnn_tensor::lstm::lstm_cell_backward(dh, dc, gates, tanh_c, self.value(c_prev));
+        self.accumulate(c_prev, d_c_prev);
+        self.accumulate(bias, d_pre.sum_rows());
+        self.accumulate(gx, d_pre.clone());
+        self.accumulate(gh, d_pre);
     }
 
     /// Flushes gradients of parameter-bound leaves into the store
@@ -543,18 +679,20 @@ impl Tape {
     /// then backs the next block's tape instead of fresh allocations. No-op
     /// (a plain drop) when no workspace is engaged.
     pub fn recycle(self) {
-        if !dgnn_tensor::workspace::is_engaged() {
+        if !workspace::is_engaged() {
             return;
         }
         for node in self.nodes {
-            dgnn_tensor::workspace::recycle(node.value);
-            if let Op::SoftmaxXent { probs, .. } = node.op {
-                dgnn_tensor::workspace::recycle(probs);
-            }
+            workspace::recycle(node.value);
+            node.op
+                .into_caches()
+                .into_iter()
+                .for_each(workspace::recycle);
         }
-        for g in self.grads.into_iter().flatten() {
-            dgnn_tensor::workspace::recycle(g);
-        }
+        self.grads
+            .into_iter()
+            .flatten()
+            .for_each(workspace::recycle);
     }
 }
 
@@ -646,6 +784,71 @@ mod tests {
             .grad(x)
             .unwrap()
             .approx_eq(&Dense::full(2, 2, 5.0), 1e-6));
+    }
+
+    #[test]
+    fn only_leaves_keep_their_gradient() {
+        let mut tape = Tape::new();
+        let x = tape.input(Dense::ones(2, 2));
+        let w = tape.input(Dense::full(2, 2, 0.5));
+        let y = tape.matmul(x, w);
+        let z = tape.tanh(y);
+        let loss = tape.sum_all(z);
+        tape.backward_scalar(loss);
+        for v in [y, z, loss] {
+            assert!(tape.grad(v).is_none(), "non-leaf gradient outlived its use");
+        }
+        assert!(tape.grad(x).is_some());
+        assert!(tape.grad(w).is_some());
+    }
+
+    #[test]
+    fn leaf_gradient_accumulates_across_backward_stages() {
+        // The staged backward of the distributed strategies: seed, read a
+        // leaf, seed another sink, read again.
+        let mut tape = Tape::new();
+        let x = tape.input(Dense::ones(2, 2));
+        let y1 = tape.scale(x, 2.0);
+        let y2 = tape.scale(x, 3.0);
+        tape.backward(&[(y1, Dense::ones(2, 2))]);
+        assert_eq!(tape.grad(x).unwrap(), &Dense::full(2, 2, 2.0));
+        tape.backward(&[(y2, Dense::ones(2, 2))]);
+        assert_eq!(tape.grad(x).unwrap(), &Dense::full(2, 2, 5.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "already propagated and released")]
+    fn gradient_reaching_a_released_node_panics() {
+        // y was propagated (and its gradient released) by the first stage;
+        // a later stage that reaches it again would lose that gradient.
+        let mut tape = Tape::new();
+        let x = tape.input(Dense::ones(1, 2));
+        let y = tape.scale(x, 2.0);
+        let z1 = tape.scale(y, 3.0);
+        let z2 = tape.scale(y, 5.0);
+        tape.backward(&[(z1, Dense::ones(1, 2))]);
+        tape.backward(&[(z2, Dense::ones(1, 2))]);
+    }
+
+    #[test]
+    fn lstm_cell_outputs_are_two_nodes_with_cached_activations() {
+        let mut tape = Tape::new();
+        let gx = tape.input(Dense::full(3, 8, 0.25));
+        let gh = tape.input(Dense::full(3, 8, -0.5));
+        let bias = tape.input(Dense::zeros(1, 8));
+        let c_prev = tape.input(Dense::ones(3, 2));
+        let before = tape.value_elems();
+        let (h, c) = tape.lstm_cell(gx, gh, bias, c_prev);
+        assert_eq!(tape.value(h).shape(), (3, 2));
+        assert_eq!(tape.value(c).shape(), (3, 2));
+        // h, c, tanh(c) and the 4h-wide gate activations.
+        assert_eq!(tape.value_elems() - before, 3 * 2 * 3 + 3 * 8);
+        // Only c is seeded: the cell still propagates, h's slot stays empty.
+        tape.backward(&[(c, Dense::ones(3, 2))]);
+        assert!(tape.grad(h).is_none() && tape.grad(c).is_none());
+        assert_eq!(tape.grad(c_prev).unwrap().shape(), (3, 2));
+        assert_eq!(tape.grad(gx).unwrap(), tape.grad(gh).unwrap());
+        assert_eq!(tape.grad(bias).unwrap().shape(), (1, 8));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every trainer in this crate is the *same* algorithm — a timeline cut
 //! into `nb` checkpoint blocks, walked forward storing only the carries
-//! `π_b`, then walked backward re-running each block on a fresh tape —
+//! `π_b`, then walked backward re-running each block but the last (whose
+//! tape the forward pass hands over) on a fresh tape —
 //! specialised only by how timesteps and vertices are laid out across
 //! ranks. `run_engine` owns that loop once: the snapshot schedule, the
 //! forward/recompute/backward block order, optimizer stepping, carry
@@ -147,8 +148,8 @@ pub(crate) trait ParallelStrategy<'m> {
     fn begin_epoch(&mut self) {}
 
     /// Runs one block forward on a fresh tape — both the forward pass and
-    /// the backward pass's recompute go through here, exactly as in paper
-    /// Fig. 2.
+    /// the backward pass's recompute (every block but the last) go through
+    /// here, exactly as in paper Fig. 2.
     fn forward_block(
         &mut self,
         store: &ParamStore,
@@ -194,8 +195,9 @@ pub(crate) trait ParallelStrategy<'m> {
 }
 
 /// The checkpointed training loop (paper §3.1), shared by every strategy:
-/// forward over blocks storing carries, backward re-running blocks in
-/// reverse with carry-gradient seeds, gradient reduction, optimizer step,
+/// forward over blocks storing carries, backward over blocks in reverse
+/// with carry-gradient seeds — the last block on the tape its forward run
+/// left, the others re-run first — gradient reduction, optimizer step,
 /// metrics. Engages a per-rank buffer workspace for the duration so
 /// steady-state epochs reuse tape scratch instead of allocating. Carries
 /// live in the in-memory [`source::MemoryCarryBank`]; the out-of-core
@@ -237,23 +239,34 @@ pub(crate) fn run_engine_banked<'m, S: ParallelStrategy<'m>>(
         bank.begin_epoch(model.initial_carry(strategy.carry_rows()));
         let mut stats = S::Stats::default();
         let mut last_z: Option<Dense> = None;
-        for block in blocks {
+        // The last block's run is kept for the backward pass, which starts
+        // with that block: re-running it would rebuild the tape just
+        // retired. Every other tape retires here — only π_b survives, as in
+        // the paper — so at most one block's tape is alive at a time.
+        let mut kept: Option<BlockRun<'m, S::Io>> = None;
+        for (b, block) in blocks.iter().enumerate() {
             let span = trace::span_cat("forward", "engine");
             let run = strategy.forward_block(store, block.clone(), bank.last());
             strategy.observe_block(&run, block, &mut stats, &mut last_z);
             bank.push(run.seg.carry_out(&run.tape));
-            // Tape retires here: only π_b survives, as in the paper.
-            run.retire();
+            if b + 1 == blocks.len() {
+                kept = Some(run);
+            } else {
+                run.retire();
+            }
             phase.forward_us += span.finish_us();
         }
 
-        // ---- Backward pass: rerun blocks in reverse. ----
+        // ---- Backward pass: blocks in reverse, all but the last rerun. ----
         let mut carry_grads: Option<CarryGrads> = None;
         for (b, block) in blocks.iter().enumerate().rev() {
-            let span = trace::span_cat("recompute", "engine");
             let carry_in = bank.take(b);
-            let mut run = strategy.forward_block(store, block.clone(), &carry_in);
-            phase.recompute_us += span.finish_us();
+            let mut run = kept.take().unwrap_or_else(|| {
+                let span = trace::span_cat("recompute", "engine");
+                let run = strategy.forward_block(store, block.clone(), &carry_in);
+                phase.recompute_us += span.finish_us();
+                run
+            });
             let span = trace::span_cat("backward", "engine");
             strategy.backward_block(&mut run, block, carry_grads.as_ref());
             run.tape.accumulate_param_grads(store);
@@ -327,7 +340,9 @@ fn recycle_carry_grads(grads: CarryGrads) {
 /// Snapshot-transfer accounting shared by the strategies (paper §3.2):
 /// the given snapshots move twice per epoch — once for the forward pass
 /// and once for the backward rerun — under both the naive and the
-/// graph-difference encodings. Returns `(naive_bytes, gd_bytes)`.
+/// graph-difference encodings. Returns `(naive_bytes, gd_bytes)`. This
+/// is the paper's accounting, which re-sends every block; that the engine
+/// keeps the last block's tape does not enter it.
 pub(crate) fn transfer_bytes<'a>(chunks: impl Iterator<Item = Vec<&'a Csr>>) -> (u64, u64) {
     let (mut naive, mut gd) = (0u64, 0u64);
     for slices in chunks {

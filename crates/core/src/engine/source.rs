@@ -15,7 +15,8 @@
 //!   block. Construction *spills* the task's Laplacians and inputs to
 //!   the store; training then needs only the store's memory budget, not
 //!   the working set. The source carries the §3.1 block schedule
-//!   (forward order, then reversed for the backward rerun) and, on each
+//!   (forward order, then reversed for the backward rerun, which skips
+//!   the last block — the engine keeps that tape) and, on each
 //!   block entry, asks the store to prefetch the next block's records so
 //!   steady-state reads never block on a cold file.
 //!
@@ -50,8 +51,8 @@ pub trait SnapshotSource {
     fn preagg(&self) -> bool;
 
     /// Called when the engine enters a block (both the forward pass and
-    /// the backward rerun). Out-of-core sources use this to prefetch the
-    /// next scheduled block.
+    /// the backward rerun of every block but the last). Out-of-core
+    /// sources use this to prefetch the next scheduled block.
     fn enter_block(&self, _block: &Range<usize>) {}
 
     /// Bytes this source has faulted from a storage tier so far — the
@@ -117,7 +118,7 @@ impl SnapshotSource for TaskSource<'_> {
 pub struct StoreSource {
     tier: Rc<RefCell<TieredStore>>,
     /// Per-epoch block entry order: the §3.1 schedule forward, then
-    /// reversed for the backward rerun.
+    /// reversed without the last block for the backward rerun.
     schedule: Vec<Range<usize>>,
     cursor: Cell<usize>,
     preagg: bool,
@@ -156,7 +157,7 @@ impl StoreSource {
         blocks: &[Range<usize>],
     ) -> Result<Self, StoreError> {
         let mut schedule = blocks.to_vec();
-        schedule.extend(blocks.iter().rev().cloned());
+        schedule.extend(blocks.iter().rev().skip(1).cloned());
         let src = Self {
             tier,
             schedule,
@@ -233,8 +234,8 @@ impl SnapshotSource for StoreSource {
             // A front-end walking outside the engine schedule (e.g. a
             // forward-only evaluation) resyncs instead of asserting: a
             // stale cursor only costs prefetch accuracy, never bits.
-            // Every block appears twice (forward half, then mirrored in
-            // the reversed backward half), so resolve to the occurrence
+            // Every block but the last appears twice (forward half, then
+            // mirrored in the reversed backward half), so resolve to the occurrence
             // *nearest the cursor* — matching the first occurrence
             // unconditionally would snap a backward-pass resync to the
             // forward half and prefetch the forward successor instead of
@@ -505,20 +506,21 @@ mod tests {
         let task = small_task(1);
         let blocks = vec![0..2usize, 2..4, 4..6];
         let src = StoreSource::spill(&task, shared_tier(), &blocks).unwrap();
-        // schedule: [0..2, 2..4, 4..6 | 4..6, 2..4, 0..2]
+        // schedule: [0..2, 2..4, 4..6 | 2..4, 0..2] — the backward pass
+        // does not re-enter the last block.
         src.enter_block(&(0..2));
         src.enter_block(&(2..4));
         src.enter_block(&(4..6));
         assert_eq!(src.cursor.get(), 3, "in-schedule walk needs no resync");
         // Jump into the backward half *out of order* (the cursor points at
-        // the backward 4..6): the resync must land on the backward
-        // occurrence of 2..4 (index 4) — the forward occurrence (index 1)
-        // would prefetch the forward successor 4..6 instead of the
-        // backward predecessor 0..2.
-        src.enter_block(&(2..4));
-        assert_eq!(src.cursor.get(), 5, "resync picked the forward half");
+        // the backward 2..4): the resync must land on the backward
+        // occurrence of 0..2 (index 4), whose successor is the next
+        // epoch's 0..2 — the forward occurrence (index 0) would prefetch
+        // the forward successor 2..4 instead.
         src.enter_block(&(0..2));
-        assert_eq!(src.cursor.get(), 0, "backward walk continues in order");
+        assert_eq!(src.cursor.get(), 0, "resync picked the forward half");
+        src.enter_block(&(0..2));
+        assert_eq!(src.cursor.get(), 1, "the next epoch continues in order");
     }
 
     #[test]
@@ -526,15 +528,28 @@ mod tests {
         let task = small_task(2);
         let blocks = vec![0..2usize, 2..4, 4..6];
         let src = StoreSource::spill(&task, shared_tier(), &blocks).unwrap();
-        // Walk forward and through the backward half down to 2..4, then
-        // re-enter 4..6 (a forward-only evaluation restarting mid-epoch):
-        // nearest occurrence of 4..6 to cursor 5 is the backward index 3.
-        for b in [&(0..2), &(2..4), &(4..6), &(4..6), &(2..4)] {
+        // Walk forward and into the backward half down to 2..4, then
+        // re-enter 2..4 (a forward-only evaluation restarting mid-epoch):
+        // nearest occurrence of 2..4 to cursor 4 is the backward index 3.
+        for b in [&(0..2), &(2..4), &(4..6), &(2..4)] {
             src.enter_block(b);
         }
-        assert_eq!(src.cursor.get(), 5);
-        src.enter_block(&(4..6));
-        assert_eq!(src.cursor.get(), 4, "resync picked the forward 4..6");
+        assert_eq!(src.cursor.get(), 4);
+        src.enter_block(&(2..4));
+        assert_eq!(src.cursor.get(), 4, "resync picked the forward 2..4");
+    }
+
+    #[test]
+    fn single_block_schedule_enters_once_per_epoch() {
+        // nb = 1: the one block is the kept last block, so an epoch enters
+        // it once and the cursor never leaves it.
+        let task = small_task(7);
+        let blocks = std::iter::once(0..6usize).collect::<Vec<_>>();
+        let src = StoreSource::spill(&task, shared_tier(), &blocks).unwrap();
+        assert_eq!(src.schedule.len(), 1);
+        src.enter_block(&(0..6));
+        src.enter_block(&(0..6));
+        assert_eq!(src.cursor.get(), 0);
     }
 
     #[test]

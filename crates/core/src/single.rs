@@ -5,13 +5,14 @@
 //! The timeline is cut into `nb` blocks. The forward pass walks blocks in
 //! order, keeping only one block's tape alive at a time and storing the
 //! carry `π_b` between blocks. Backpropagation walks blocks in reverse:
-//! each block is *re-run* forward on a fresh tape (paper Fig. 2's "rerun"
-//! segment), then swept backward with the per-timestep loss seeds plus the
-//! carry gradients arriving from the block above.
+//! each block but the last (whose forward tape is still alive) is *re-run*
+//! forward on a fresh tape (paper Fig. 2's "rerun" segment), then swept
+//! backward with the per-timestep loss seeds plus the carry gradients
+//! arriving from the block above.
 //!
-//! Snapshot transfers are accounted per block run under both the naive and
+//! Snapshot transfers are accounted per block under both the naive and
 //! the graph-difference encodings — twice per epoch per block, once for the
-//! forward pass and once for the backward rerun (paper §3.2).
+//! forward pass and once for the backward rerun, as the paper does (§3.2).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -160,6 +161,88 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             assert!(max_diff < 1e-3, "{kind:?}: params diverge by {max_diff}");
+        }
+    }
+
+    /// Delegates to a [`SingleRank`] and counts its block runs.
+    struct CountingRuns<'m, 's> {
+        inner: SingleRank<'m, 's>,
+        forward_blocks: usize,
+    }
+
+    impl<'m> crate::engine::ParallelStrategy<'m> for CountingRuns<'m, '_> {
+        type Io = ();
+        type Stats = crate::engine::single_rank::SingleStats;
+        type EpochOut = EpochStats;
+
+        fn model(&self) -> &'m Model {
+            self.inner.model()
+        }
+
+        fn carry_rows(&self) -> usize {
+            self.inner.carry_rows()
+        }
+
+        fn forward_block(
+            &mut self,
+            store: &ParamStore,
+            block: std::ops::Range<usize>,
+            carry_in: &dgnn_models::CarryState,
+        ) -> crate::engine::BlockRun<'m, ()> {
+            self.forward_blocks += 1;
+            self.inner.forward_block(store, block, carry_in)
+        }
+
+        fn backward_block(
+            &mut self,
+            run: &mut crate::engine::BlockRun<'m, ()>,
+            block: &std::ops::Range<usize>,
+            carry_grads: Option<&dgnn_models::CarryGrads>,
+        ) {
+            self.inner.backward_block(run, block, carry_grads);
+        }
+
+        fn observe_block(
+            &mut self,
+            run: &crate::engine::BlockRun<'m, ()>,
+            block: &std::ops::Range<usize>,
+            stats: &mut Self::Stats,
+            last_z: &mut Option<dgnn_tensor::Dense>,
+        ) {
+            self.inner.observe_block(run, block, stats, last_z);
+        }
+
+        fn finish_epoch(
+            &mut self,
+            stats: Self::Stats,
+            last_z: Option<dgnn_tensor::Dense>,
+            store: &ParamStore,
+        ) -> EpochStats {
+            self.inner.finish_epoch(stats, last_z, store)
+        }
+    }
+
+    #[test]
+    fn only_the_blocks_before_the_last_are_rerun() {
+        // One epoch runs every block forward once and re-runs all but the
+        // last for the backward pass: nb + (nb - 1) block runs.
+        for (nb, want_runs) in [(1usize, 1usize), (2, 3), (4, 7)] {
+            let (model, head, mut store, task) = setup(ModelKind::CdGcn);
+            let opts = TrainOptions {
+                epochs: 1,
+                lr: 0.05,
+                nb,
+                seed: 7,
+                threads: None,
+            };
+            let blocks = checkpoint_blocks(&opts, task.t);
+            let source = TaskSource::new(&task);
+            let mut counting = CountingRuns {
+                inner: SingleRank::new(&model, &head, &task, &source, &blocks),
+                forward_blocks: 0,
+            };
+            run_engine(&mut counting, &mut store, &blocks, 1, opts.lr);
+            assert_eq!(counting.forward_blocks, want_runs, "nb={nb}");
         }
     }
 

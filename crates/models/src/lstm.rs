@@ -98,8 +98,20 @@ impl LstmCell {
     }
 
     /// One step: consumes `x` (`rows x in_f`) and the previous state,
-    /// returning the new state (`h` is the step output).
+    /// returning the new state (`h` is the step output). Two gate GEMMs
+    /// feed one fused cell op ([`Tape::lstm_cell`]); `h` and `c` of one
+    /// step must get their gradients within one `Tape::backward` call.
     pub fn step(&self, tape: &mut Tape, vars: LstmVars, x: Var, prev: LstmState) -> LstmState {
+        let gx = tape.matmul(x, vars.wx);
+        let gh = tape.matmul(prev.h, vars.wh);
+        let (h, c) = tape.lstm_cell(gx, gh, vars.b, prev.c);
+        LstmState { h, c }
+    }
+
+    /// The 17-op chain [`LstmCell::step`] ran before the fused cell op —
+    /// the bitwise reference the fused kernels are tested against.
+    #[cfg(test)]
+    fn step_unfused(&self, tape: &mut Tape, vars: LstmVars, x: Var, prev: LstmState) -> LstmState {
         let h = self.hidden;
         let gx = tape.matmul(x, vars.wx);
         let gh = tape.matmul(prev.h, vars.wh);
@@ -184,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "add: shape mismatch")]
+    #[should_panic(expected = "lstm_cell: gx/gh shape mismatch")]
     fn step_rejects_state_row_mismatch() {
         // A carry whose row count disagrees with the batch (a wrong vertex
         // chunk) must be rejected when the input and hidden gates combine.
@@ -211,6 +223,156 @@ mod tests {
         let next = cell.step(&mut tape, vars, x, state);
         assert_eq!(tape.value(next.h).shape(), (0, 3));
         assert_eq!(tape.value(next.c).shape(), (0, 3));
+    }
+
+    /// Which of the last step's outputs a run seeds.
+    #[derive(Clone, Copy, Debug)]
+    enum Seed {
+        H,
+        C,
+        Both,
+    }
+
+    fn bits(d: &Dense) -> Vec<u32> {
+        d.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Inputs with signed zeros and saturating magnitudes planted among
+    /// ordinary values, so every gate sees both of its flat ends.
+    fn planted(rows: usize, cols: usize, rng: &mut StdRng) -> Dense {
+        let mut d = glorot_uniform(rows, cols, rng);
+        let specials = [0.0, -0.0, 1e4, -1e4];
+        for (k, v) in d.data_mut().iter_mut().enumerate() {
+            if k.is_multiple_of(3) {
+                *v = specials[(k / 3) % specials.len()];
+            }
+        }
+        d
+    }
+
+    /// Chains `xs.len()` steps (fused or the reference chain), seeds the
+    /// last state, and returns the bits of `h`, `c` and of the gradients
+    /// of every `x`, `h_prev`, `c_prev`, `Wx`, `Wh`, `b` — in that order.
+    fn run_chain(
+        cell: &LstmCell,
+        store: &ParamStore,
+        fused: bool,
+        xs: &[Dense],
+        state0: (&Dense, &Dense),
+        seed: Seed,
+    ) -> Vec<Vec<u32>> {
+        let mut tape = Tape::new();
+        let vars = cell.bind(&mut tape, store);
+        let first = LstmState {
+            h: tape.input(state0.0.clone()),
+            c: tape.input(state0.1.clone()),
+        };
+        let x_vars: Vec<Var> = xs.iter().map(|x| tape.input(x.clone())).collect();
+        let mut state = first;
+        for &x in &x_vars {
+            state = if fused {
+                cell.step(&mut tape, vars, x, state)
+            } else {
+                cell.step_unfused(&mut tape, vars, x, state)
+            };
+        }
+        let (rows, hid) = tape.value(state.h).shape();
+        let dh = Dense::from_fn(rows, hid, |r, c| 0.25 - (r * hid + c) as f32 * 0.01);
+        let dc = Dense::from_fn(rows, hid, |r, c| (r + 2 * c) as f32 * 0.02 - 0.1);
+        let seeds = match seed {
+            Seed::H => vec![(state.h, dh)],
+            Seed::C => vec![(state.c, dc)],
+            Seed::Both => vec![(state.h, dh), (state.c, dc)],
+        };
+        tape.backward(&seeds);
+        let mut out = vec![bits(tape.value(state.h)), bits(tape.value(state.c))];
+        let leaves = x_vars
+            .iter()
+            .chain([&first.h, &first.c, &vars.wx, &vars.wh, &vars.b]);
+        for &leaf in leaves {
+            out.push(tape.grad(leaf).map(bits).unwrap_or_default());
+        }
+        tape.recycle();
+        out
+    }
+
+    #[test]
+    fn fused_step_is_bitwise_the_unfused_chain() {
+        // 600 rows × 4·4 gate columns clears the pool's engage floor; the
+        // smaller batches stay serial.
+        for rows in [0usize, 1, 7, 600] {
+            for steps in 1..=3usize {
+                let mut rng = StdRng::seed_from_u64(40 + rows as u64 + steps as u64);
+                let mut store = ParamStore::new();
+                let cell = LstmCell::new(&mut store, "lstm", 3, 4, &mut rng);
+                let xs: Vec<Dense> = (0..steps).map(|_| planted(rows, 3, &mut rng)).collect();
+                let (h0, c0) = (planted(rows, 4, &mut rng), planted(rows, 4, &mut rng));
+                for seed in [Seed::H, Seed::C, Seed::Both] {
+                    let reference = {
+                        let _t = dgnn_tensor::pool::scoped_threads(Some(1));
+                        run_chain(&cell, &store, false, &xs, (&h0, &c0), seed)
+                    };
+                    for threads in [1usize, 2, 4] {
+                        let _t = dgnn_tensor::pool::scoped_threads(Some(threads));
+                        let fused = run_chain(&cell, &store, true, &xs, (&h0, &c0), seed);
+                        assert_eq!(
+                            fused, reference,
+                            "rows {rows} steps {steps} {seed:?} threads {threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_step_writes_every_element_of_dirty_scratch() {
+        // Gradient release hands recycled buffers to the kernels mid-sweep:
+        // a fused output element left unwritten would keep stale bits. Run
+        // once on NaN inputs so the arena holds NaN-filled buffers of
+        // exactly the shapes the real run takes, then compare.
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new(&mut store, "lstm", 3, 4, &mut rng);
+        let rows = 600;
+        let xs: Vec<Dense> = (0..2).map(|_| planted(rows, 3, &mut rng)).collect();
+        let (h0, c0) = (planted(rows, 4, &mut rng), planted(rows, 4, &mut rng));
+        let poison = Dense::full(rows, 3, f32::NAN);
+        let poison_state = Dense::full(rows, 4, f32::NAN);
+        for seed in [Seed::H, Seed::C, Seed::Both] {
+            let reference = run_chain(&cell, &store, false, &xs, (&h0, &c0), seed);
+            for threads in [1usize, 2] {
+                let _t = dgnn_tensor::pool::scoped_threads(Some(threads));
+                let _ws = dgnn_tensor::workspace::engage();
+                run_chain(
+                    &cell,
+                    &store,
+                    true,
+                    &[poison.clone(), poison.clone()],
+                    (&poison_state, &poison_state),
+                    Seed::Both,
+                );
+                let fused = run_chain(&cell, &store, true, &xs, (&h0, &c0), seed);
+                assert_eq!(fused, reference, "{seed:?} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "already propagated")]
+    fn late_seed_on_the_other_cell_output_panics() {
+        // h and c of one cell propagate together; a gradient for c that
+        // arrives in a later backward call must not be dropped silently.
+        let mut rng = StdRng::seed_from_u64(49);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new(&mut store, "lstm", 2, 3, &mut rng);
+        let mut tape = Tape::new();
+        let vars = cell.bind(&mut tape, &store);
+        let state = cell.zero_state(&mut tape, 4);
+        let x = tape.constant(Dense::ones(4, 2));
+        let next = cell.step(&mut tape, vars, x, state);
+        tape.backward(&[(next.h, Dense::ones(4, 3))]);
+        tape.backward(&[(next.c, Dense::ones(4, 3))]);
     }
 
     #[test]

@@ -585,6 +585,29 @@ mod tests {
     }
 
     #[test]
+    fn cdgcn_lstm_step_holds_at_most_16nh_floats() {
+        // Two n×4h gate products, the n×4h activations, tanh(c), c and h:
+        // 15·n·h floats a step, where the op-by-op chain held 29.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut store = ParamStore::new();
+        let cfg = tiny_cfg(ModelKind::CdGcn);
+        let model = Model::new(cfg, &mut store, &mut rng);
+        let (n, steps) = (9, 3);
+        for layer in 0..cfg.layers() {
+            let mut tape = Tape::new();
+            let carry = model.initial_carry(n);
+            let mut seg = model.bind_segment(&mut tape, &store, 0..steps, &carry);
+            let inputs: Vec<Var> = (0..steps)
+                .map(|_| tape.constant(glorot_uniform(n, cfg.gcn_out(layer), &mut rng)))
+                .collect();
+            let before = tape.value_elems();
+            seg.temporal(&mut tape, layer, 0, &inputs);
+            let per_step = (tape.value_elems() - before) / steps;
+            assert_eq!(per_step, 15 * n * cfg.hidden, "layer {layer}");
+        }
+    }
+
+    #[test]
     fn tm_window_carry_slides() {
         let mut rng = StdRng::seed_from_u64(40);
         let mut store = ParamStore::new();

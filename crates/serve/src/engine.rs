@@ -26,6 +26,10 @@
 //!    whose inputs did not change — equal expressions over equal bits give
 //!    equal bits, at every thread count (the PR-2 determinism contract).
 //!
+//! A window wide enough that `F_0` covers half of the vertices skips the
+//! frontier machinery and recomputes every row from the refreshed
+//! operator — leg 3 with "frontier" read as "all rows".
+//!
 //! Events are ingested as **undirected interactions**: each event is
 //! applied to `(u, v)` and mirrored onto `(v, u)`, keeping the adjacency
 //! symmetric — which is also what makes the per-layer frontier expansion
@@ -39,7 +43,7 @@ use dgnn_graph::GraphDiff;
 use dgnn_models::{LinkPredHead, Model, ModelKind};
 use dgnn_stream::{DeltaBatcher, EdgeEvent, StreamingGraph};
 use dgnn_telemetry::trace;
-use dgnn_tensor::{Csr, Dense};
+use dgnn_tensor::{pool, Csr, Dense};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 
@@ -66,21 +70,41 @@ impl ServeLayer {
 
     /// The layer forward for a block of pre-aggregated rows: the exact
     /// per-row arithmetic of the full forward, applied to any row subset.
+    /// Bias and ReLU run in place on the product (a wide window pushes
+    /// every row through here at once, and each temporary is `n` rows).
     fn forward_rows(&self, agg: &Dense) -> Dense {
-        let lin = agg.matmul(&self.w);
-        let pre = lin.add_row_broadcast(&self.b);
-        if self.skip_concat {
-            relu(&agg.concat_cols(&pre))
+        let mut pre = agg.matmul(&self.w);
+        let (cols, work) = (pre.cols(), pre.len());
+        let bias = self.b.data();
+        pool::par_rows(pre.data_mut(), cols, work, |_, block| {
+            for row in block.chunks_mut(cols) {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
+        });
+        let mut out = if self.skip_concat {
+            agg.concat_cols(&pre)
         } else {
-            relu(&pre)
-        }
+            pre
+        };
+        pool::par_elems(out.data_mut(), |_, chunk| {
+            for v in chunk {
+                *v = relu(*v);
+            }
+        });
+        out
     }
 }
 
 /// ReLU as one shared expression, so the full and incremental paths cannot
 /// drift apart.
-fn relu(m: &Dense) -> Dense {
-    m.map(|v| if v > 0.0 { v } else { 0.0 })
+fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
 }
 
 /// The frozen spatial stack served at inference time: the per-layer GCN
@@ -253,7 +277,9 @@ pub struct AdvanceReport {
     pub diff: GraphDiff,
     /// Vertices touched by the window's events.
     pub touched: usize,
-    /// Recomputed rows per GCN layer (the multi-hop frontier sizes).
+    /// Recomputed rows per GCN layer: the multi-hop frontier sizes, or `n`
+    /// at every layer when the window was wide enough (see
+    /// [`InferenceSession::advance`]) that all rows were recomputed.
     pub frontier_rows: Vec<usize>,
 }
 
@@ -346,6 +372,13 @@ impl InferenceSession {
     /// by the ingested events and recomputes exactly the per-layer frontier
     /// of activation rows they can reach. Embeddings afterwards are
     /// bit-identical to [`InferenceSession::full_forward`].
+    ///
+    /// A window whose first-layer frontier `T ∪ N(T)` already covers half
+    /// of the vertices (a bulk load, a burst) takes the plain forward over
+    /// all rows instead: by the second layer its frontier is nearly
+    /// everything, and gathering, recomputing and scattering nearly every
+    /// row costs about twice the full product. Same row expressions over
+    /// the same operator, so the bits do not depend on which path ran.
     pub fn advance(&mut self) -> AdvanceReport {
         let _span = trace::span_cat("advance_incremental", "serve");
         let touched = self.batcher.touched_vertices();
@@ -369,6 +402,15 @@ impl InferenceSession {
         // neighborhood — a dropped edge's partner is itself touched.
         let dirty = self.expand_graph(&touched);
         self.refresh_lap_rows(&dirty);
+        if dirty.len() * 2 >= self.n() {
+            self.forward_all_rows();
+            return AdvanceReport {
+                version: self.version,
+                diff,
+                touched: touched.len(),
+                frontier_rows: vec![self.n(); self.model.layers()],
+            };
+        }
 
         // Per-layer frontier recompute over the cached activations.
         let mut frontier = dirty;
@@ -475,7 +517,27 @@ impl InferenceSession {
         // stale one is empty, so the structural path is taken).
         let all: Vec<u32> = (0..n as u32).collect();
         self.refresh_lap_rows(&all);
-        self.acts = self.full_forward();
+        self.forward_all_rows();
+    }
+
+    /// Recomputes every row of every cached activation from the current
+    /// operator: the layers of [`InferenceSession::full_forward`] without
+    /// rebuilding the operator it starts from. Each layer replaces its
+    /// cached matrix before the next one runs, so at most one extra
+    /// activation matrix is alive.
+    fn forward_all_rows(&mut self) {
+        for l in 0..self.model.layers() {
+            let input = if l == 0 {
+                &self.features
+            } else {
+                &self.acts[l - 1]
+            };
+            let out = self.model.layers[l].forward_rows(&self.a_hat.spmm(input));
+            match self.acts.get_mut(l) {
+                Some(cached) => *cached = out,
+                None => self.acts.push(out),
+            }
+        }
     }
 
     /// `rows ∪ N(rows)` over the live graph's rows (sorted, deduplicated).
@@ -651,11 +713,10 @@ pub(crate) mod tests {
     fn empty_graph_forward_is_identity_operator() {
         let s = InferenceSession::new(tiny_model(3, 4, false), feats(6, 3));
         // With no edges Ã = I: layer 0 equals relu(X·W + b) exactly.
-        let expect = relu(
-            &feats(6, 3)
-                .matmul(&s.model.layers[0].w)
-                .add_row_broadcast(&s.model.layers[0].b),
-        );
+        let expect = feats(6, 3)
+            .matmul(&s.model.layers[0].w)
+            .add_row_broadcast(&s.model.layers[0].b)
+            .map(relu);
         assert_eq!(s.acts[0], expect);
         s.assert_matches_full();
     }
@@ -680,12 +741,14 @@ pub(crate) mod tests {
 
     #[test]
     fn removals_and_weight_updates_stay_consistent() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(10, 2));
+        // Twelve vertices: the second window dirties five rows, under the
+        // half of `n` at which an advance recomputes every row instead.
+        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(12, 2));
         s.ingest(&[
             EdgeEvent::add(0, 0, 1, 1.0),
             EdgeEvent::add(0, 1, 2, 1.0),
             EdgeEvent::add(0, 2, 3, 1.0),
-            EdgeEvent::add(0, 8, 9, 1.0),
+            EdgeEvent::add(0, 10, 11, 1.0),
         ]);
         s.advance();
         s.assert_matches_full();
@@ -697,9 +760,9 @@ pub(crate) mod tests {
         let r = s.advance();
         assert_eq!(r.version, 2);
         s.assert_matches_full();
-        // The untouched far component (8, 9) was not recomputed.
+        // The untouched far component (10, 11) was not recomputed.
         assert!(!r.frontier_rows.is_empty());
-        assert!(r.frontier_rows.iter().all(|&f| f < 10));
+        assert!(r.frontier_rows.iter().all(|&f| f < 12));
     }
 
     #[test]
@@ -765,6 +828,21 @@ pub(crate) mod tests {
         // A reverted add/remove pair inside one window is also value-only.
         s.ingest(&[EdgeEvent::remove(2, 1, 2), EdgeEvent::add(2, 1, 2, 9.0)]);
         s.advance();
+        s.assert_matches_full();
+    }
+
+    #[test]
+    fn wide_windows_recompute_every_row() {
+        let mut s = InferenceSession::new(tiny_model(2, 3, true), feats(8, 2));
+        // Four of eight rows dirty: exactly the threshold.
+        s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0), EdgeEvent::add(0, 2, 3, 1.0)]);
+        let r = s.advance();
+        assert_eq!((r.touched, &r.frontier_rows[..]), (4, &[8, 8][..]));
+        s.assert_matches_full();
+        // Two of eight: back on the frontier path, same contract.
+        s.ingest(&[EdgeEvent::update(1, 0, 1, 2.0)]);
+        let r = s.advance();
+        assert_eq!(r.frontier_rows, [2, 2]);
         s.assert_matches_full();
     }
 

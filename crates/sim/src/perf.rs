@@ -259,6 +259,10 @@ fn activation_bytes_per_t(cfg: &PerfConfig, n: u64) -> (u64, u64) {
     }
     let chunk = n / cfg.p as u64;
     let temporal: u64 = match cfg.model {
+        // These widths describe the op-by-op LSTM chain. The fused cell op
+        // now holds 15·h per step (two 4h gate products, the 4h
+        // activations, tanh(c), c, h); left as is until ROADMAP item 1
+        // calibrates this model against measured runs.
         ModelKind::CdGcn => shapes
             .iter()
             .map(|s| dense_bytes(chunk as usize, 4 * cfg.hidden + 8 * cfg.hidden + s.gcn_out))
@@ -416,7 +420,11 @@ pub fn estimate_epoch(cfg: &PerfConfig) -> PerfReport {
 
         // Phase 2: forward + backward compute and communication, per layer.
         // Backward re-runs the forward (checkpoint) and then propagates
-        // gradients: compute ≈ 3x forward inside a block.
+        // gradients: compute ≈ 3x forward inside a block. The rerun terms
+        // here (`compute_factor`, `passes`, `transfer_passes`) charge every
+        // block; the engine no longer re-runs the last one, so the measured
+        // rerun is (nb − 1)/nb of a forward. Left as is until ROADMAP item 1
+        // calibrates this model against measured runs.
         let compute_factor = if checkpointed { 3.0 } else { 2.0 };
         match vertex_units {
             None => {

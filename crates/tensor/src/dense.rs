@@ -157,9 +157,13 @@ fn gemm_block_impl(
 /// (`q0..q3`, full `n`-wide row slices) and the column strip `j0..j1`,
 /// accumulates the k-panel `k0..k1` with eight [`F32x8`] accumulators
 /// held in registers for the whole panel. Tiles cascade `GEMM_NR` → one
-/// vector → scalar, so every strip width is covered; per output element
-/// the arithmetic is the same serial increasing-k mul+add sequence as the
-/// scalar loop (lanes only span adjacent columns), so bits are unchanged.
+/// vector → one partial vector (the `w < 8` columns a strip ends with,
+/// loaded and stored through [`F32x8::load_partial`] /
+/// [`F32x8::store_partial`], the padded lanes discarded), so every strip
+/// width is covered and no width read-modify-writes `out` per `k`; per
+/// output element the arithmetic is the same serial increasing-k mul+add
+/// sequence as the scalar loop (lanes only span adjacent columns), so bits
+/// are unchanged.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_quad(
@@ -241,20 +245,26 @@ fn micro_quad(
         j += simd::LANES;
     }
     if j < j1 {
+        let w = j1 - j;
+        let mut c0 = F32x8::load_partial(&q0[j..], w);
+        let mut c1 = F32x8::load_partial(&q1[j..], w);
+        let mut c2 = F32x8::load_partial(&q2[j..], w);
+        let mut c3 = F32x8::load_partial(&q3[j..], w);
         for k in k0..k1 {
             let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
             if skip_zeros && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                 continue;
             }
-            let bk = &b[k * n..];
-            for jj in j..j1 {
-                let bv = bk[jj];
-                q0[jj] += a0 * bv;
-                q1[jj] += a1 * bv;
-                q2[jj] += a2 * bv;
-                q3[jj] += a3 * bv;
-            }
+            let bv = F32x8::load_partial(&b[k * n + j..], w);
+            c0 = c0.add_mul(F32x8::splat(a0), bv);
+            c1 = c1.add_mul(F32x8::splat(a1), bv);
+            c2 = c2.add_mul(F32x8::splat(a2), bv);
+            c3 = c3.add_mul(F32x8::splat(a3), bv);
         }
+        c0.store_partial(&mut q0[j..], w);
+        c1.store_partial(&mut q1[j..], w);
+        c2.store_partial(&mut q2[j..], w);
+        c3.store_partial(&mut q3[j..], w);
     }
 }
 
@@ -306,16 +316,16 @@ fn micro_row(
         j += simd::LANES;
     }
     if j < j1 {
+        let w = j1 - j;
+        let mut c0 = F32x8::load_partial(&q[j..], w);
         for k in k0..k1 {
             let av = a_row[k];
             if skip_zeros && av == 0.0 {
                 continue;
             }
-            let bk = &b[k * n..];
-            for jj in j..j1 {
-                q[jj] += av * bk[jj];
-            }
+            c0 = c0.add_mul(F32x8::splat(av), F32x8::load_partial(&b[k * n + j..], w));
         }
+        c0.store_partial(&mut q[j..], w);
     }
 }
 

@@ -15,6 +15,7 @@
 pub mod dense;
 pub mod digest;
 pub mod init;
+pub mod lstm;
 pub mod pool;
 mod sell;
 pub mod simd;

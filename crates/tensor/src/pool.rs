@@ -269,6 +269,54 @@ fn dispatch_rows<T: Send>(
     });
 }
 
+/// [`par_rows`] over `K` output buffers that share a row count:
+/// `f(start_row, blocks)` receives the *matching* row blocks of every
+/// buffer (`bufs[i]` is rows of `row_lens[i]` elements) and must write only
+/// those. For kernels with several outputs per row — the fused LSTM cell
+/// writes gate activations, `tanh(c)`, `c` and `h` in one pass — without a
+/// raw-pointer scatter: the buffers are split with `chunks_mut` and the
+/// per-chunk tuples are what the pool partitions. Same engage gate and
+/// determinism contract as [`par_rows`].
+pub fn par_rows_zip<T: Send, const K: usize>(
+    bufs: [&mut [T]; K],
+    row_lens: [usize; K],
+    total_work: usize,
+    f: impl Fn(usize, [&mut [T]; K]) + Sync,
+) {
+    if K == 0 || row_lens.contains(&0) || bufs[0].is_empty() {
+        return;
+    }
+    let rows = bufs[0].len() / row_lens[0];
+    for (buf, &len) in bufs.iter().zip(&row_lens) {
+        assert_eq!(buf.len(), rows * len, "buffers disagree on the row count");
+    }
+    let threads = effective_threads();
+    if !rows_parallel(rows, total_work) {
+        f(0, bufs);
+        return;
+    }
+    let rows_per_chunk = rows.div_ceil(rows.min(threads * 4));
+    let mut iters: Vec<_> = bufs
+        .into_iter()
+        .zip(row_lens)
+        .map(|(buf, len)| buf.chunks_mut(rows_per_chunk * len))
+        .collect();
+    let mut blocks: Vec<[&mut [T]; K]> = (0..rows.div_ceil(rows_per_chunk))
+        .map(|_| {
+            std::array::from_fn(|i| {
+                iters[i]
+                    .next()
+                    .expect("equal row counts give equal chunk counts")
+            })
+        })
+        .collect();
+    with_pool(threads, |pool| {
+        pool.par_chunks_mut(&mut blocks, 1, |ci, entry| {
+            f(ci * rows_per_chunk, entry[0].each_mut().map(|b| &mut **b));
+        });
+    });
+}
+
 /// Index-parallel loop: runs `f(i)` for every `i in 0..n`, across the pool
 /// when `total_work` clears the row-work threshold (serially, in order,
 /// otherwise). The closure is responsible for keeping its writes disjoint
@@ -404,6 +452,35 @@ mod tests {
                 assert!(data[r * 3..(r + 1) * 3].iter().all(|&v| v == r as u32));
             }
         }
+    }
+
+    #[test]
+    fn par_rows_zip_hands_out_matching_row_blocks() {
+        for threads in [1, 2, 5] {
+            let _g = scoped_threads(Some(threads));
+            let (mut wide, mut narrow) = (vec![0u32; 37 * 3], vec![0u32; 37]);
+            par_rows_zip(
+                [&mut wide[..], &mut narrow[..]],
+                [3, 1],
+                usize::MAX,
+                |r0, [wide, narrow]| {
+                    assert_eq!(wide.len(), narrow.len() * 3);
+                    for (dr, (w, n)) in wide.chunks_mut(3).zip(narrow.iter_mut()).enumerate() {
+                        w.fill((r0 + dr) as u32);
+                        *n = (r0 + dr) as u32;
+                    }
+                },
+            );
+            for r in 0..37 {
+                assert_eq!(wide[r * 3..(r + 1) * 3], [r as u32; 3]);
+                assert_eq!(narrow[r], r as u32);
+            }
+        }
+        // No rows, or a zero-width buffer: nothing to hand out.
+        let mut empty: [u32; 0] = [];
+        par_rows_zip([&mut empty[..]], [4], usize::MAX, |_, _| {
+            panic!("no rows to run")
+        });
     }
 
     #[test]

@@ -38,8 +38,9 @@ use std::sync::OnceLock;
 pub const ENV_SIMD: &str = "DGNN_SIMD";
 
 /// Lane count of [`F32x8`] — the column-group width of the vectorized
-/// kernels. Micro-kernel tails cascade down through this to scalar, so
-/// any output width is handled; `LANES` only sets the fast-path granularity.
+/// kernels. Micro-kernel tails cascade down through this to a partial
+/// vector, so any output width is handled; `LANES` only sets the
+/// fast-path granularity.
 pub const LANES: usize = 8;
 
 /// Tri-state process-wide override for [`enabled`]:
@@ -153,6 +154,27 @@ impl F32x8 {
     #[inline(always)]
     pub fn store(self, dst: &mut [f32]) {
         dst[..LANES].copy_from_slice(&self.0);
+    }
+
+    /// Loads the first `w < LANES` elements of `src` into the low lanes.
+    /// The other lanes hold whatever follows in `src` (one full unaligned
+    /// load) when the slice still has [`LANES`] elements, and `+0.0` at
+    /// the end of a buffer — never a read past the slice. Callers discard
+    /// them ([`F32x8::store_partial`]).
+    #[inline(always)]
+    pub fn load_partial(src: &[f32], w: usize) -> F32x8 {
+        if src.len() >= LANES {
+            return F32x8::load(src);
+        }
+        let mut lanes = [0.0f32; LANES];
+        lanes[..w].copy_from_slice(&src[..w]);
+        F32x8(lanes)
+    }
+
+    /// Stores the low `w` lanes into the first `w` elements of `dst`.
+    #[inline(always)]
+    pub fn store_partial(self, dst: &mut [f32], w: usize) {
+        dst[..w].copy_from_slice(&self.0[..w]);
     }
 
     /// Lane-wise `self + a * b` with **two** roundings (an unfused mul

@@ -9,6 +9,9 @@
 //! workspace reuse path, or the kernels that changes a single output bit
 //! fails here.
 
+mod common;
+
+use common::{assert_dist_golden, HYBRID_GOLDEN, TIME_GOLDEN, VERTEX_GOLDEN};
 use dgnn_autograd::ParamStore;
 use dgnn_core::classification::train_single_classification;
 use dgnn_core::prelude::*;
@@ -17,8 +20,10 @@ use dgnn_tensor::digest::{digest_f32, fnv1a as fnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Digest over the full per-epoch stat stream: loss, train/test accuracy,
-/// transfer accounting, comm volume.
+/// Digest over the full per-epoch stat stream of a single-rank run: loss,
+/// train/test accuracy, transfer accounting, and a comm volume that is
+/// always zero. The distributed strategies pin their (non-zero) volume
+/// beside the numbers instead — see [`common`].
 fn digest_stats(stats: &[EpochStats]) -> u64 {
     fnv(stats.iter().flat_map(|s| {
         let mut b = Vec::new();
@@ -108,51 +113,42 @@ fn single_rank_matches_pre_engine_trainer() {
     }
 }
 
+/// The options every distributed golden was captured under.
+fn dist_opts() -> TrainOptions {
+    TrainOptions {
+        epochs: 3,
+        lr: 0.02,
+        nb: 2,
+        seed: 3,
+        threads: None,
+    }
+}
+
 #[test]
 fn time_partitioned_matches_pre_engine_trainer() {
-    let golden = [
-        0x3f832a00f28ff769u64, // CdGcn
-        0x1c8234d8381b2806,    // EvolveGcn
-        0x6a32960d085bff8c,    // TmGcn
-    ];
-    for (kind, stream) in ModelKind::all().into_iter().zip(golden) {
+    for (kind, golden) in ModelKind::all().into_iter().zip(&TIME_GOLDEN) {
         let g = dgnn_graph::gen::churn(30, 6, 120, 0.25, 9);
         let raw = g.time_slice(0, 5);
         let next = g.snapshot(5).clone();
-        let stats = train_distributed(
+        let run = train_distributed_digest(
             &raw,
             &next,
             small_cfg(kind),
             &TaskOptions::default(),
-            &TrainOptions {
-                epochs: 3,
-                lr: 0.02,
-                nb: 2,
-                seed: 3,
-                threads: None,
-            },
+            &dist_opts(),
             2,
         );
-        assert_eq!(
-            digest_stats(&stats),
-            stream,
-            "{kind:?}: distributed stat stream drifted"
-        );
+        assert_dist_golden(&format!("{kind:?} distributed"), &run, golden);
     }
 }
 
 #[test]
 fn hybrid_matches_pre_engine_trainer() {
-    let golden = [
-        0x19ed0bd3486cabb5u64, // CdGcn
-        0xbd53c8f8744e1e9f,    // EvolveGcn
-        0x9ecf106bd6e00018,    // TmGcn
-    ];
-    for (kind, stream) in ModelKind::all().into_iter().zip(golden) {
+    for (kind, golden) in ModelKind::all().into_iter().zip(&HYBRID_GOLDEN) {
         let g = dgnn_graph::gen::churn(20, 6, 80, 0.3, 5);
         let raw = g.time_slice(0, 5);
         let next = g.snapshot(5).clone();
-        let stats = train_hybrid(
+        let run = train_hybrid_digest(
             &raw,
             &next,
             small_cfg(kind),
@@ -160,35 +156,20 @@ fn hybrid_matches_pre_engine_trainer() {
                 precompute_first_layer: false,
                 ..Default::default()
             },
-            &TrainOptions {
-                epochs: 3,
-                lr: 0.02,
-                nb: 2,
-                seed: 3,
-                threads: None,
-            },
+            &dist_opts(),
             2,
         );
-        assert_eq!(
-            digest_stats(&stats),
-            stream,
-            "{kind:?}: hybrid stat stream drifted"
-        );
+        assert_dist_golden(&format!("{kind:?} hybrid"), &run, golden);
     }
 }
 
 #[test]
 fn vertex_partitioned_matches_pre_engine_trainer() {
-    let golden = [
-        0x798d7d35f10ddf54u64, // CdGcn
-        0x5e6e22d0d545c874,    // EvolveGcn
-        0x7b3dd9cf16952f00,    // TmGcn
-    ];
-    for (kind, stream) in ModelKind::all().into_iter().zip(golden) {
+    for (kind, golden) in ModelKind::all().into_iter().zip(&VERTEX_GOLDEN) {
         let g = dgnn_graph::gen::churn(24, 6, 100, 0.3, 5);
         let raw = g.time_slice(0, 5);
         let next = g.snapshot(5).clone();
-        let stats = train_vertex_partitioned(
+        let run = train_vertex_partitioned_digest(
             &raw,
             &next,
             small_cfg(kind),
@@ -196,20 +177,10 @@ fn vertex_partitioned_matches_pre_engine_trainer() {
                 precompute_first_layer: false,
                 ..Default::default()
             },
-            &TrainOptions {
-                epochs: 3,
-                lr: 0.02,
-                nb: 2,
-                seed: 3,
-                threads: None,
-            },
+            &dist_opts(),
             2,
         );
-        assert_eq!(
-            digest_stats(&stats),
-            stream,
-            "{kind:?}: vertex-partitioned stat stream drifted"
-        );
+        assert_dist_golden(&format!("{kind:?} vertex-partitioned"), &run, golden);
     }
 }
 

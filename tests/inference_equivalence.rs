@@ -147,3 +147,47 @@ fn engaged_size_stream_stays_bitwise_equal() {
         }
     }
 }
+
+/// Windows on both sides of the wide-frontier threshold: a bulk load and a
+/// burst dirty at least half of the rows and take the plain forward over
+/// all of them (`frontier_rows == n` at every layer); a trickle stays on
+/// the frontier path. The contract is the same bitwise equality either way,
+/// at a size where the pool splits the kernels.
+#[test]
+fn wide_and_narrow_windows_stay_bitwise_equal() {
+    let n = 600usize;
+    for threads in [1usize, 4] {
+        let _g = pool::scoped_threads(Some(threads));
+        let mut session = InferenceSession::new(model(8, 32, true), features(n, 8));
+        let bulk: Vec<EdgeEvent> = (0..n as u32)
+            .map(|u| EdgeEvent::add(0, u, (u * 7 + 3) % n as u32, 0.5))
+            .collect();
+        session.ingest(&bulk);
+        let report = session.advance();
+        assert_eq!(report.frontier_rows, [n, n], "bulk load is a wide window");
+        session.assert_matches_full();
+
+        // A burst: weight updates on a quarter of the edges reach over
+        // half of the rows through their neighborhoods.
+        let burst: Vec<EdgeEvent> = (0..n as u32)
+            .step_by(4)
+            .map(|u| EdgeEvent::update(1, u, (u * 7 + 3) % n as u32, 1.5))
+            .collect();
+        session.ingest(&burst);
+        let report = session.advance();
+        assert!(report.touched < n);
+        assert_eq!(report.frontier_rows, [n, n], "burst is a wide window");
+        session.assert_matches_full();
+
+        // A trickle: three events, a frontier of a few dozen rows.
+        session.ingest(&[
+            EdgeEvent::remove(2, 0, 3),
+            EdgeEvent::add(2, 5, 300, 2.0),
+            EdgeEvent::update(2, 9, 66, 0.25),
+        ]);
+        let report = session.advance();
+        assert!(report.frontier_rows[0] * 2 < n, "trickle stays narrow");
+        assert!(report.frontier_rows.iter().all(|&f| f < n));
+        session.assert_matches_full();
+    }
+}

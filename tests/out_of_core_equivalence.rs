@@ -144,8 +144,9 @@ fn out_of_core_reports_miss_bytes_per_epoch() {
         &StoreConfig::with_budget(0),
     )
     .unwrap();
-    // Every epoch reads every block (forward + backward rerun) plus the
-    // carries, so each epoch's miss accounting must be non-zero — and the
+    // Every epoch reads every block (forward, then the backward rerun of
+    // all but the last) plus the carries, so each epoch's miss accounting
+    // must be non-zero — and the
     // in-memory trainer reports exactly zero.
     for (i, s) in stats.iter().enumerate() {
         assert!(s.store_miss_bytes > 0, "epoch {i} reported no tier misses");
@@ -153,4 +154,35 @@ fn out_of_core_reports_miss_bytes_per_epoch() {
     let (model, head, mut store, task) = setup(ModelKind::CdGcn);
     let in_mem = train_single(&model, &head, &mut store, &task, &opts(1));
     assert!(in_mem.iter().all(|s| s.store_miss_bytes == 0));
+}
+
+#[test]
+fn out_of_core_is_bit_identical_at_the_ends_of_the_block_range() {
+    // The engine keeps the last block's tape for the backward pass. At
+    // nb = 1 that is the whole timeline (nothing is re-run, the block
+    // schedule has one entry, the one spilled carry is read back unused);
+    // at nb = T every kept block is a single snapshot.
+    for nb in [1usize, 8] {
+        let opts = TrainOptions { nb, ..opts(1) };
+        let (model, head, mut store, task) = setup(ModelKind::CdGcn);
+        let want = train_single(&model, &head, &mut store, &task, &opts);
+        let want_params = digest_f32(&store.values_flat());
+        let (model, head, mut store, task) = setup(ModelKind::CdGcn);
+        let (got, _) = train_single_out_of_core(
+            &model,
+            &head,
+            &mut store,
+            &task,
+            &opts,
+            &StoreConfig::with_budget(0),
+        )
+        .expect("out-of-core training must succeed");
+        let loss_bits = |s: &[EpochStats]| s.iter().map(|e| e.loss.to_bits()).collect::<Vec<_>>();
+        assert_eq!(loss_bits(&got), loss_bits(&want), "nb={nb}: losses");
+        assert_eq!(
+            digest_f32(&store.values_flat()),
+            want_params,
+            "nb={nb}: parameters"
+        );
+    }
 }

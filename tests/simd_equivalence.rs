@@ -166,6 +166,66 @@ fn gemm_remainder_lanes_bitwise_equal() {
     }
 }
 
+/// A `rows × cols` matrix whose buffer ends exactly where its last row
+/// does (capacity == length), with `plant` values every seventh element.
+fn exact_alloc(rows: usize, cols: usize, salt: usize, plant: &[f32]) -> Dense {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|i| {
+            let k = i + salt;
+            if !plant.is_empty() && k.is_multiple_of(7) {
+                plant[(k / 7) % plant.len()]
+            } else {
+                ((k * 29 % 31) as f32 - 15.0) * 0.125
+            }
+        })
+        .collect();
+    Dense::from_vec(rows, cols, data.into_boxed_slice().into_vec())
+}
+
+#[test]
+fn gemm_column_tails_bitwise_equal_for_all_three_products() {
+    // Every output width around one vector and one micro-tile — for
+    // N mod 8 != 0 the last columns go through the partial-vector
+    // accumulators, and the last row of B through the zero-padded load at
+    // the end of its buffer — times row counts on both sides of the
+    // 4-row register block (301 engages the pool), times inner lengths
+    // around one k-panel. Both compiles, every thread count.
+    let _lock = SIMD_OVERRIDE_LOCK.lock().unwrap();
+    let _restore = SimdRestore;
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+    for simd_on in [false, true] {
+        simd::force_enabled(Some(simd_on));
+        for n in 1usize..=17 {
+            for m in [1usize, 3, 4, 5, 9, 301] {
+                for kk in [0usize, 1, 63, 64, 65] {
+                    for plant in [&[][..], &specials[..]] {
+                        let a = exact_alloc(m, kk, 1, plant);
+                        let b = exact_alloc(kk, n, 3, plant);
+                        let reference = ref_matmul(&a, &b);
+                        let (at, bt) = (a.transpose(), b.transpose());
+                        let products: [(&str, &dyn Fn() -> Dense); 3] = [
+                            ("matmul", &|| a.matmul(&b)),
+                            ("matmul_transa", &|| at.matmul_transa(&b)),
+                            ("matmul_transb", &|| a.matmul_transb(&bt)),
+                        ];
+                        for (name, product) in products {
+                            let what = format!("{name} simd={simd_on} m={m} k={kk} n={n}");
+                            if plant.is_empty() {
+                                assert_all_threads_match(&what, &reference, product);
+                            } else {
+                                // Which rows share a register block moves
+                                // with the row partition, and with it which
+                                // of two NaNs a lane keeps.
+                                assert_all_threads_match_mod_payload(&what, &reference, product);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn spmm_remainder_lanes_bitwise_equal_with_sell_engaged() {
     let a = sell_sized_csr();

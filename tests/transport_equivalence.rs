@@ -13,6 +13,9 @@
 //! [`SimComm`]: dgnn_sim::SimComm
 //! [`SharedMemComm`]: dgnn_sim::SharedMemComm
 
+mod common;
+
+use common::{assert_dist_golden, HYBRID_GOLDEN, TIME_GOLDEN, VERTEX_GOLDEN};
 use dgnn_core::prelude::*;
 use dgnn_graph::DynamicGraph;
 use dgnn_graph::Snapshot;
@@ -20,9 +23,9 @@ use dgnn_sim::{scoped_transport, CommTransport};
 use dgnn_tensor::digest::fnv1a as fnv;
 use proptest::prelude::*;
 
-/// Digest over the full per-epoch stat stream: loss, train/test accuracy,
-/// transfer accounting, comm volume (same layout as the golden captures
-/// in `engine_equivalence.rs`).
+/// Digest over the full per-epoch stat stream — loss, train/test accuracy,
+/// transfer accounting, comm volume — for comparing two transports with
+/// each other.
 fn digest_stats(stats: &[EpochStats]) -> u64 {
     fnv(stats.iter().flat_map(|s| {
         let mut b = Vec::new();
@@ -174,31 +177,18 @@ fn golden_captures_hold_on_shared_mem_transport() {
         seed: 3,
         threads: None,
     };
-    let golden: [(Strategy, [u64; 3]); 3] = [
-        (
-            Strategy::Time,
-            [0x3f832a00f28ff769, 0x1c8234d8381b2806, 0x6a32960d085bff8c],
-        ),
-        (
-            Strategy::Hybrid,
-            [0x19ed0bd3486cabb5, 0xbd53c8f8744e1e9f, 0x9ecf106bd6e00018],
-        ),
-        (
-            Strategy::Vertex,
-            [0x798d7d35f10ddf54, 0x5e6e22d0d545c874, 0x7b3dd9cf16952f00],
-        ),
+    let golden = [
+        (Strategy::Time, &TIME_GOLDEN),
+        (Strategy::Hybrid, &HYBRID_GOLDEN),
+        (Strategy::Vertex, &VERTEX_GOLDEN),
     ];
-    for (strategy, streams) in golden {
-        for (kind, stream) in KINDS.into_iter().zip(streams) {
-            let (stats, params) = strategy.run(kind, 2, &opts);
-            assert_eq!(
-                digest_stats(&stats),
-                stream,
-                "{strategy:?}/{kind:?}: shared-mem transport drifted from the golden capture"
-            );
-            assert_eq!(
-                params[0], params[1],
-                "{strategy:?}/{kind:?}: replicas diverged"
+    for (strategy, goldens) in golden {
+        for (kind, golden) in KINDS.into_iter().zip(goldens) {
+            let run = strategy.run(kind, 2, &opts);
+            assert_dist_golden(
+                &format!("{strategy:?}/{kind:?} on shared memory"),
+                &run,
+                golden,
             );
         }
     }
