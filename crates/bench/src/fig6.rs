@@ -47,8 +47,9 @@ pub fn run(fast: bool) {
             cfg(kind).kind.name(),
             t - 1
         );
-        let snap = train_distributed(&raw, &next, cfg(kind), &task_opts, &train_opts, 2);
-        let hyper = train_vertex_partitioned(&raw, &next, cfg(kind), &task_opts, &train_opts, 2);
+        let snap = train_distributed_digest(&raw, &next, cfg(kind), &task_opts, &train_opts, 2).0;
+        let hyper =
+            train_vertex_partitioned_digest(&raw, &next, cfg(kind), &task_opts, &train_opts, 2).0;
         println!(
             "{:>5} {:>14} {:>14} {:>10} {:>12} {:>12}",
             "epoch", "loss(snap)", "loss(hyper)", "|Δloss|", "acc(snap)", "acc(hyper)"

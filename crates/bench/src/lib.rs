@@ -1,45 +1,29 @@
 //! # dgnn-bench
 //!
-//! Experiment harnesses regenerating every table and figure of the paper's
-//! evaluation (§6). Each module prints the same rows/series the paper
-//! reports, side by side with the paper's published values where available;
-//! EXPERIMENTS.md records the comparison.
+//! Experiment harnesses regenerating the tables and figures of the paper's
+//! evaluation (§6): the scaling rows on the §7 cost model, the convergence
+//! rows (Fig. 6, §6.5) by real training. Each module prints the same
+//! rows/series the paper reports, side by side with the paper's published
+//! values where available.
 //!
 //! Binaries: `table1`, `fig4_graph_diff`, `fig5_strong_scaling`,
 //! `fig6_convergence`, `fig7_weak_scaling`, `table2_partition`,
-//! `table3_hybrid`, `ablations`, `streaming` (event-ingestion throughput
-//! and incremental-vs-rebuild window advance), `kernel_scaling` (serial vs
-//! threaded kernels, recorded to `BENCH_parallel.json`), `serve`
-//! (incremental-vs-full inference recompute and query throughput,
-//! recorded to `BENCH_serve.json`), `store` (out-of-core training at half
-//! the snapshot working set, recorded to `BENCH_store.json`), `reuse`
-//! (cross-snapshot pre-aggregation reuse churn sweep, recorded to
-//! `BENCH_reuse.json`), `telemetry`
-//! (traced epoch span coverage, metrics scrape, and §7 model-vs-measured,
-//! recorded to `BENCH_telemetry.json` + `TRACE_telemetry.json`), plus
-//! `calib` (machine-constant calibration) and `run_all`.
-//!
-//! Every `BENCH_*.json` artifact is written through [`report::BenchReport`]
-//! so they share one schema: bench name, schema version, host thread
-//! count, a `config` map, and a `metrics` map.
+//! `table3_hybrid`, `ablations`, `calib` (machine-constant calibration) and
+//! `run_all`, plus two print-only sweeps: `kernel_scaling` (the hot kernels
+//! serial vs 2/4/8 pool threads) and `reuse` (the pre-aggregation build
+//! across churn rates). Measured end-to-end and per-layer numbers come
+//! from `dgnn-benchmark` (`benchmark/`), not from here.
 
 pub mod ablations;
-pub mod comm;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod kernel_scaling;
-pub mod report;
 pub mod reuse;
-pub mod serve;
-pub mod store;
-pub mod streaming;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod telemetry;
-pub mod train_engine;
 
 /// The GPU counts swept by the paper's strong-scaling plots.
 pub const P_SWEEP: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];

@@ -4,20 +4,15 @@
 //! For each churn rate the sweep builds the same unsmoothed (CD-GCN
 //! layout) pre-aggregation timeline three ways — from scratch, carried
 //! forward with the diff-derived touched-vertex journal, and carried
-//! forward with the exact bitwise dirty-row scan — asserts all three are
-//! bit-identical, and times them. It also records one training epoch per
-//! rate for context (the build runs once per prepared task; the epochs
-//! are what it amortizes against). Results land in `BENCH_reuse.json`.
-//!
-//! At low churn the journal path must recompute at most
-//! [`REQUIRED_LOW_CHURN_MAX_RECOMPUTED`] of the rows (deterministic,
-//! asserted everywhere) and beat the from-scratch build by
-//! [`REQUIRED_LOW_CHURN_SPEEDUP`]x (wall clock, asserted on capable
-//! hosts with one in-process re-measure): almost every row is carried
-//! over as a copy instead of re-gathered through the CSR. The scan fallback
-//! pays an `O(nnz + n·F)` comparison pass, so with the 2-wide degree
-//! features it roughly breaks even — it is recorded, not asserted; its
-//! job is correctness on smoothed timelines, not speed.
+//! forward with the exact bitwise dirty-row scan — checks all three are
+//! bit-identical, and prints their build times, the share of rows the
+//! journal path recomputed, and one training epoch per rate for context
+//! (the build runs once per prepared task; the epochs are what it
+//! amortizes against). Print-only: no timing is asserted. The
+//! rows-recomputed bound at low churn is a deterministic property of the
+//! seeded timeline and is pinned in `tests/preagg_reuse_equivalence.rs`.
+//! The scan fallback pays an `O(nnz + n·F)` comparison pass; its job is
+//! correctness on smoothed timelines, not speed.
 
 use std::time::Instant;
 
@@ -30,33 +25,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::ms;
-use crate::report::BenchReport;
-
-/// Minimum journal-path speedup over the from-scratch build at churn
-/// rates of at most [`LOW_CHURN_MAX_RATE`], asserted on capable hosts.
-/// Wall-clock ratios flake under noisy neighbors, so a failing first
-/// measurement is re-timed once in-process before the assert fires; the
-/// deterministic [`REQUIRED_LOW_CHURN_MAX_RECOMPUTED`] bound below is
-/// what guards the algorithmic property on every host.
-pub const REQUIRED_LOW_CHURN_SPEEDUP: f64 = 2.0;
-
-/// Maximum fraction of pre-aggregation rows the journal path may
-/// recompute at churn rates of at most [`LOW_CHURN_MAX_RATE`]. Unlike
-/// the timing ratio this is a pure function of the seeded timeline —
-/// rows carried vs rows re-gathered — so it is asserted on *every*
-/// host, including the 1-core sandbox where timing is skipped. The
-/// sweep measures ~17% recomputed at 5% churn; 25% leaves headroom
-/// while still implying the documented speedup.
-pub const REQUIRED_LOW_CHURN_MAX_RECOMPUTED: f64 = 0.25;
-
-/// Churn rates at or below this count as "low churn" for the assertion.
-pub const LOW_CHURN_MAX_RATE: f64 = 0.05;
 
 /// The swept per-snapshot edge-churn fractions (1% – 50%).
 pub const RATES: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 
 struct RateResult {
-    rate: f64,
     scratch_ms: f64,
     journal_ms: f64,
     scan_ms: f64,
@@ -93,7 +66,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one rep"))
 }
 
-fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize, epochs: bool) -> RateResult {
+fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize) -> RateResult {
     // Recycle block allocations across reps/timesteps, as the engine does.
     let _ws = dgnn_tensor::workspace::engage();
     let g = dgnn_graph::gen::churn(n, t + 1, m, rate, 23);
@@ -138,7 +111,7 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize, epochs: bool
     );
     assert_eq!(bits(&scratch), bits(&scanned), "scan path changed bits");
 
-    let epoch_ms = if epochs {
+    let epoch_ms = {
         let cfg = ModelConfig {
             kind: ModelKind::CdGcn,
             input_f: 2,
@@ -161,12 +134,9 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize, epochs: bool
         let start = Instant::now();
         let _ = train_single(&model, &head, &mut store, &task, &opts);
         start.elapsed().as_secs_f64() * 1e3
-    } else {
-        f64::NAN
     };
 
     RateResult {
-        rate,
         scratch_ms,
         journal_ms,
         scan_ms,
@@ -175,8 +145,8 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize, epochs: bool
     }
 }
 
-/// Runs the pre-aggregation reuse sweep. `fast` shrinks the workload for
-/// the CI smoke step.
+/// Runs the pre-aggregation reuse sweep and prints one row per churn
+/// rate. `fast` shrinks the workload.
 pub fn run(fast: bool) {
     // The dirty fraction scales like `4·rate·(m/n)·(lap row nnz)` — the
     // churned edges times the one-hop expansion — so the sweep uses a
@@ -191,123 +161,19 @@ pub fn run(fast: bool) {
         (32768, 24, 16384, 7)
     };
     println!("== Pre-aggregation reuse: n={n}, T={t}, m={m}, churn sweep {RATES:?} ==");
-    let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let assert_speedup = host_threads >= 4;
-
-    let results: Vec<RateResult> = RATES
-        .iter()
-        .map(|&rate| {
-            let r = sweep_rate(n, t, m, rate, reps, true);
-            println!(
-                "churn {:>4.0}% : scratch {:>8} | journal {:>8} ({:>4.1}x, {:>4.1}% rows recomputed) \
-                 | scan {:>8} ({:>4.1}x) | epoch {}",
-                rate * 100.0,
-                ms(r.scratch_ms),
-                ms(r.journal_ms),
-                r.journal_speedup(),
-                r.recomputed_fraction * 100.0,
-                ms(r.scan_ms),
-                r.scan_speedup(),
-                ms(r.epoch_ms),
-            );
-            r
-        })
-        .collect();
-
-    write_json(n, t, m, fast, assert_speedup, &results);
-
-    let low_churn: Vec<&RateResult> = results
-        .iter()
-        .filter(|r| r.rate <= LOW_CHURN_MAX_RATE)
-        .collect();
-    // The deterministic guard: rows recomputed vs rows carried is a pure
-    // function of the seeded timeline, so it holds on any host at any
-    // load — this is what actually pins the work saving the timing ratio
-    // estimates.
-    let worst_recomputed = low_churn
-        .iter()
-        .map(|r| r.recomputed_fraction)
-        .fold(0.0, f64::max);
-    assert!(
-        worst_recomputed <= REQUIRED_LOW_CHURN_MAX_RECOMPUTED,
-        "journal path at <= {:.0}% churn must recompute <= {:.0}% of preagg rows, got {:.1}%",
-        LOW_CHURN_MAX_RATE * 100.0,
-        REQUIRED_LOW_CHURN_MAX_RECOMPUTED * 100.0,
-        worst_recomputed * 100.0
-    );
-    let mut worst = low_churn
-        .iter()
-        .map(|r| r.journal_speedup())
-        .fold(f64::INFINITY, f64::min);
-    if assert_speedup {
-        if worst < REQUIRED_LOW_CHURN_SPEEDUP {
-            // One in-process re-measure absorbs a noisy-neighbor burst on
-            // shared runners before the assert fires: re-time the
-            // low-churn builds (no epochs) and keep the best of both.
-            println!(
-                "low-churn speedup {worst:.2}x below {REQUIRED_LOW_CHURN_SPEEDUP}x on first \
-                 measurement; re-timing once"
-            );
-            worst = RATES
-                .iter()
-                .filter(|&&rate| rate <= LOW_CHURN_MAX_RATE)
-                .map(|&rate| sweep_rate(n, t, m, rate, reps, false).journal_speedup())
-                .zip(low_churn.iter().map(|r| r.journal_speedup()))
-                .map(|(again, first)| again.max(first))
-                .fold(f64::INFINITY, f64::min);
-        }
-        assert!(
-            worst >= REQUIRED_LOW_CHURN_SPEEDUP,
-            "journal-path preagg build at <= {:.0}% churn must be >= {REQUIRED_LOW_CHURN_SPEEDUP}x \
-             the from-scratch build, got {worst:.2}x",
-            LOW_CHURN_MAX_RATE * 100.0
-        );
+    for rate in RATES {
+        let r = sweep_rate(n, t, m, rate, reps);
         println!(
-            "PASS: low-churn journal speedup {worst:.1}x >= {REQUIRED_LOW_CHURN_SPEEDUP}x, \
-             rows recomputed {:.1}% <= {:.0}%, all paths bit-identical",
-            worst_recomputed * 100.0,
-            REQUIRED_LOW_CHURN_MAX_RECOMPUTED * 100.0
-        );
-    } else {
-        println!(
-            "SKIP: timing assertion needs >= 4 host threads (have {host_threads}); measured \
-             {worst:.1}x at low churn; rows-recomputed bound and bitwise equality still verified"
+            "churn {:>4.0}% : scratch {:>8} | journal {:>8} ({:>4.1}x, {:>4.1}% rows recomputed) \
+             | scan {:>8} ({:>4.1}x) | epoch {}",
+            rate * 100.0,
+            ms(r.scratch_ms),
+            ms(r.journal_ms),
+            r.journal_speedup(),
+            r.recomputed_fraction * 100.0,
+            ms(r.scan_ms),
+            r.scan_speedup(),
+            ms(r.epoch_ms),
         );
     }
-}
-
-fn write_json(n: usize, t: usize, m: usize, fast: bool, asserted: bool, results: &[RateResult]) {
-    let arr = |f: &dyn Fn(&RateResult) -> f64, decimals: usize| -> String {
-        let vals: Vec<String> = results
-            .iter()
-            .map(|r| format!("{:.*}", decimals, f(r)))
-            .collect();
-        format!("[{}]", vals.join(", "))
-    };
-    let mut r = BenchReport::new("reuse");
-    r.config_bool("fast", fast)
-        .config_u64("n", n as u64)
-        .config_u64("t", t as u64)
-        .config_u64("edges_per_snapshot", m as u64)
-        .config_str("model", "cdgcn")
-        .config_bool("speedup_asserted", asserted);
-    r.metric_raw("churn_rates", &arr(&|r| r.rate, 2))
-        .metric_raw("scratch_build_ms", &arr(&|r| r.scratch_ms, 3))
-        .metric_raw("journal_build_ms", &arr(&|r| r.journal_ms, 3))
-        .metric_raw("scan_build_ms", &arr(&|r| r.scan_ms, 3))
-        .metric_raw("journal_speedup", &arr(&|r| r.journal_speedup(), 2))
-        .metric_raw("scan_speedup", &arr(&|r| r.scan_speedup(), 2))
-        .metric_raw(
-            "rows_recomputed_fraction",
-            &arr(&|r| r.recomputed_fraction, 4),
-        )
-        .metric_raw("epoch_ms", &arr(&|r| r.epoch_ms, 1))
-        .metric_bool("bit_identical", true)
-        .metric_f64("required_low_churn_speedup", REQUIRED_LOW_CHURN_SPEEDUP, 2)
-        .metric_f64(
-            "required_low_churn_max_recomputed",
-            REQUIRED_LOW_CHURN_MAX_RECOMPUTED,
-            2,
-        );
-    r.write();
 }

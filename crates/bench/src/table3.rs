@@ -67,7 +67,7 @@ pub fn run(fast: bool) {
     };
 
     // Hybrid (2 members splitting every snapshot).
-    let hybrid = train_hybrid(&raw, &next, cfg(), &task_opts, &train_opts, 2);
+    let hybrid = train_hybrid_digest(&raw, &next, cfg(), &task_opts, &train_opts, 2).0;
 
     // Sequential reference.
     let task = dgnn_core::prepare_task(&raw, &next, &cfg(), &task_opts);

@@ -20,23 +20,11 @@ use dgnn_autograd::ParamStore;
 ///
 /// Each rank holds a full parameter replica initialised from `opts.seed`;
 /// gradients are all-reduced once per epoch so all replicas stay identical.
-/// Returns the per-epoch statistics (identical on every rank).
-pub fn train_distributed(
-    raw: &DynamicGraph,
-    next: &Snapshot,
-    cfg: ModelConfig,
-    task_opts: &TaskOptions,
-    opts: &TrainOptions,
-    p: usize,
-) -> Vec<EpochStats> {
-    train_distributed_digest(raw, next, cfg, task_opts, opts, p).0
-}
-
-/// As [`train_distributed`], additionally returning the FNV digest of each
-/// rank's final parameter replica (rank order). The replicas must agree
-/// bitwise — gradients are all-reduced in fixed rank order — and the
-/// transport-equivalence suite pins these digests across communicator
-/// transports and rank counts.
+/// Returns the per-epoch statistics (identical on every rank) and the FNV
+/// digest of each rank's final parameter replica (rank order). The
+/// replicas must agree bitwise — gradients are all-reduced in fixed rank
+/// order — and `tests/distributed_equivalence.rs` pins that at every rank
+/// and thread count.
 pub fn train_distributed_digest(
     raw: &DynamicGraph,
     next: &Snapshot,
@@ -54,7 +42,7 @@ pub fn train_distributed_digest(
 }
 
 fn train_rank(
-    comm: &mut dyn Comm,
+    comm: &mut Comm,
     task: &Task,
     cfg: ModelConfig,
     econf: &EngineConfig,
@@ -96,7 +84,7 @@ mod tests {
         let raw = g.time_slice(0, 7);
         let next = g.snapshot(7).clone();
         for kind in ModelKind::all() {
-            let stats = train_distributed(
+            let stats = train_distributed_digest(
                 &raw,
                 &next,
                 tiny_cfg(kind),
@@ -109,7 +97,8 @@ mod tests {
                     threads: None,
                 },
                 2,
-            );
+            )
+            .0;
             assert_eq!(stats.len(), 6);
             assert!(
                 stats.last().unwrap().loss < stats.first().unwrap().loss,
@@ -126,7 +115,7 @@ mod tests {
         let next = g.snapshot(5).clone();
         let cfg = tiny_cfg(ModelKind::TmGcn);
         let run = |p: usize| {
-            train_distributed(
+            train_distributed_digest(
                 &raw,
                 &next,
                 cfg,
@@ -140,6 +129,7 @@ mod tests {
                 },
                 p,
             )
+            .0
         };
         let s1 = run(1);
         let s3 = run(3);

@@ -38,7 +38,7 @@ pub(crate) struct HybridIo {
     sample_slices: Vec<EdgeSamples>,
 }
 
-fn gather_dense(comm: &mut dyn Comm, mine: Dense) -> Vec<Dense> {
+fn gather_dense(comm: &mut Comm, mine: Dense) -> Vec<Dense> {
     comm.all_gather(Payload::Dense(mine))
         .into_iter()
         .map(|p| match p {
@@ -50,7 +50,7 @@ fn gather_dense(comm: &mut dyn Comm, mine: Dense) -> Vec<Dense> {
 
 /// The hybrid row-splitting layout over one group of `p` ranks.
 pub(crate) struct HybridRows<'m, 'c> {
-    comm: &'c mut dyn Comm,
+    comm: &'c mut Comm,
     model: &'m Model,
     head: &'m LinkPredHead,
     task: &'m Task,
@@ -64,7 +64,7 @@ pub(crate) use crate::engine::time_part::RankStats;
 
 impl<'m, 'c> HybridRows<'m, 'c> {
     pub fn new(
-        comm: &'c mut dyn Comm,
+        comm: &'c mut Comm,
         model: &'m Model,
         head: &'m LinkPredHead,
         task: &'m Task,

@@ -72,7 +72,7 @@ pub(crate) struct RankStats {
 
 /// The snapshot-partitioned layout over `p` rank threads.
 pub(crate) struct TimePartitioned<'m, 'c> {
-    comm: &'c mut dyn Comm,
+    comm: &'c mut Comm,
     model: &'m Model,
     head: &'m LinkPredHead,
     task: &'m Task,
@@ -88,7 +88,7 @@ impl<'m, 'c> TimePartitioned<'m, 'c> {
     /// rank's transfer accounting over `blocks` (first snapshot naive, rest
     /// as differences — paper §6.2).
     pub fn new(
-        comm: &'c mut dyn Comm,
+        comm: &'c mut Comm,
         model: &'m Model,
         head: &'m LinkPredHead,
         task: &'m Task,

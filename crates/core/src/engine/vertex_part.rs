@@ -166,7 +166,7 @@ pub(crate) struct VertexIo {
 
 /// The hypergraph vertex-partitioned layout over `p` rank threads.
 pub(crate) struct VertexPartitioned<'m, 'c> {
-    comm: &'c mut dyn Comm,
+    comm: &'c mut Comm,
     model: &'m Model,
     head: &'m LinkPredHead,
     ctx: &'m VertexRankCtx,
@@ -177,7 +177,7 @@ pub(crate) struct VertexPartitioned<'m, 'c> {
 
 impl<'m, 'c> VertexPartitioned<'m, 'c> {
     pub fn new(
-        comm: &'c mut dyn Comm,
+        comm: &'c mut Comm,
         model: &'m Model,
         head: &'m LinkPredHead,
         ctx: &'m VertexRankCtx,

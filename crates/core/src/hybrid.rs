@@ -19,26 +19,14 @@ use crate::task::{prepare_task, TaskOptions};
 use dgnn_autograd::ParamStore;
 
 /// Hybrid training: one group of `p` ranks sharing every snapshot row-wise
-/// (the paper's §6.5 two-GPU experiment). Returns per-epoch statistics.
+/// (the paper's §6.5 two-GPU experiment). Returns per-epoch statistics and
+/// the FNV digest of each rank's final parameter replica (rank order); the
+/// replicas must agree bitwise, and `tests/distributed_equivalence.rs`
+/// pins that at every rank and thread count.
 ///
 /// The row-split SpMM consumes whole Laplacian rows, so the §5.5 first-layer
 /// pre-aggregation does not apply; [`EngineConfig`] disables it here
 /// regardless of `task_opts`.
-pub fn train_hybrid(
-    raw: &DynamicGraph,
-    next: &Snapshot,
-    cfg: ModelConfig,
-    task_opts: &TaskOptions,
-    opts: &TrainOptions,
-    p: usize,
-) -> Vec<EpochStats> {
-    train_hybrid_digest(raw, next, cfg, task_opts, opts, p).0
-}
-
-/// As [`train_hybrid`], additionally returning the FNV digest of each
-/// rank's final parameter replica (rank order); the replicas must agree
-/// bitwise, and the transport-equivalence suite pins the digests across
-/// communicator transports and rank counts.
 pub fn train_hybrid_digest(
     raw: &DynamicGraph,
     next: &Snapshot,
@@ -97,7 +85,7 @@ mod tests {
             mprod_window: 3,
             smoothing_window: 3,
         };
-        let stats = train_hybrid(
+        let stats = train_hybrid_digest(
             &raw,
             &next,
             cfg,
@@ -113,7 +101,8 @@ mod tests {
                 threads: None,
             },
             2,
-        );
+        )
+        .0;
         assert!(stats.last().unwrap().loss < stats.first().unwrap().loss);
     }
 
@@ -132,7 +121,7 @@ mod tests {
             smoothing_window: 3,
         };
         let run = |preagg: bool| {
-            train_hybrid(
+            train_hybrid_digest(
                 &raw,
                 &next,
                 cfg,
@@ -149,6 +138,7 @@ mod tests {
                 },
                 2,
             )
+            .0
         };
         let on = run(true);
         let off = run(false);

@@ -13,17 +13,22 @@
 //!   tiered store ([`engine::source::StoreSource`]): training works when
 //!   the snapshot working set exceeds the memory budget, bit-identically
 //!   to the in-memory run.
-//! * [`distributed::train_distributed`] — snapshot (time) partitioning
-//!   with all-to-all redistribution over real rank threads (paper §4.2).
-//! * [`vertex_dist::train_vertex_partitioned`] — the hypergraph-based
-//!   vertex-partitioning baseline (paper §4.1, §6.4).
-//! * [`hybrid::train_hybrid`] — intra-snapshot row splitting for snapshots
-//!   too large for one GPU (paper §6.5).
+//! * [`distributed::train_distributed_digest`] — snapshot (time)
+//!   partitioning with all-to-all redistribution over real rank threads
+//!   (paper §4.2).
+//! * [`vertex_dist::train_vertex_partitioned_digest`] — the
+//!   hypergraph-based vertex-partitioning baseline (paper §4.1, §6.4).
+//! * [`hybrid::train_hybrid_digest`] — intra-snapshot row splitting for
+//!   snapshots too large for one GPU (paper §6.5).
 //! * [`classification::train_single_classification`] — the single-rank
 //!   layout with the class-weighted vertex-classification objective (§2.2).
 //! * [`streaming::train_streaming`] — online/continual training over a
 //!   `dgnn-stream` event log: windows close, snapshots materialize
 //!   incrementally, and the model warm-starts from the previous window.
+//!
+//! The three distributed entry points return the per-epoch statistics
+//! together with each rank's final-parameter digest; callers that only
+//! want the statistics take `.0`.
 //!
 //! All strategies faithfully simulate the sequential algorithm: identical
 //! seeds produce matching loss/accuracy trajectories (paper Fig. 6), and
@@ -43,15 +48,15 @@ pub mod task;
 pub mod vertex_dist;
 
 pub use classification::{train_single_classification, ClassEpochStats};
-pub use distributed::{train_distributed, train_distributed_digest};
+pub use distributed::train_distributed_digest;
 pub use engine::source::{SnapshotSource, StoreSource, TaskSource};
 pub use engine::EngineConfig;
-pub use hybrid::{train_hybrid, train_hybrid_digest};
+pub use hybrid::train_hybrid_digest;
 pub use metrics::{auc, EpochStats, TrainOptions};
 pub use single::{train_single, train_single_out_of_core};
 pub use streaming::{train_streaming, StreamTrainOptions, WindowStats};
 pub use task::{prepare_task, prepare_task_holdout, prepare_task_journaled, Task, TaskOptions};
-pub use vertex_dist::{train_vertex_partitioned, train_vertex_partitioned_digest};
+pub use vertex_dist::train_vertex_partitioned_digest;
 
 /// Convenience re-exports of the whole stack.
 pub mod prelude {
@@ -61,8 +66,8 @@ pub mod prelude {
         prepare_task, prepare_task_holdout, prepare_task_journaled, Task, TaskOptions,
     };
     pub use crate::{
-        train_distributed, train_distributed_digest, train_hybrid, train_hybrid_digest,
-        train_single, train_vertex_partitioned, train_vertex_partitioned_digest,
+        train_distributed_digest, train_hybrid_digest, train_single,
+        train_vertex_partitioned_digest,
     };
     pub use dgnn_autograd::{Adam, Optimizer, ParamStore, Sgd, Tape, Var};
     pub use dgnn_graph::{

@@ -76,8 +76,7 @@ pub struct PhaseBreakdown {
     pub optimizer_us: u64,
     /// Time inside `dgnn-sim` collectives (nested in the phases above).
     pub comm_us: u64,
-    /// Share of `comm_us` spent blocked on peer data (receive-side wait,
-    /// attributed identically on both communicator transports).
+    /// Share of `comm_us` spent blocked on peer data (receive-side wait).
     pub comm_wait_us: u64,
     /// Time blocked on the storage tier (nested in the phases above).
     pub store_wait_us: u64,

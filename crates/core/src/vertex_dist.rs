@@ -21,26 +21,14 @@ use crate::task::{prepare_task, TaskOptions};
 use dgnn_autograd::ParamStore;
 
 /// Trains with hypergraph-based vertex partitioning over `p` rank threads
-/// and returns per-epoch statistics (identical on every rank).
+/// and returns per-epoch statistics (identical on every rank) and the FNV
+/// digest of each rank's final parameter replica (rank order); the
+/// replicas must agree bitwise, and `tests/distributed_equivalence.rs`
+/// pins that at every rank and thread count.
 ///
 /// The partitioned SpMM consumes remapped Laplacian rows, so the §5.5
 /// first-layer pre-aggregation does not apply; [`EngineConfig`] disables
 /// it for the renamed-space task regardless of `task_opts`.
-pub fn train_vertex_partitioned(
-    raw: &DynamicGraph,
-    next: &Snapshot,
-    cfg: ModelConfig,
-    task_opts: &TaskOptions,
-    opts: &TrainOptions,
-    p: usize,
-) -> Vec<EpochStats> {
-    train_vertex_partitioned_digest(raw, next, cfg, task_opts, opts, p).0
-}
-
-/// As [`train_vertex_partitioned`], additionally returning the FNV digest
-/// of each rank's final parameter replica (rank order); the replicas must
-/// agree bitwise, and the transport-equivalence suite pins the digests
-/// across communicator transports and rank counts.
 pub fn train_vertex_partitioned_digest(
     raw: &DynamicGraph,
     next: &Snapshot,
@@ -126,7 +114,7 @@ mod tests {
         let g = churn(24, 6, 100, 0.3, 5);
         let raw = g.time_slice(0, 5);
         let next = g.snapshot(5).clone();
-        let stats = train_vertex_partitioned(
+        let stats = train_vertex_partitioned_digest(
             &raw,
             &next,
             tiny_cfg(ModelKind::TmGcn),
@@ -142,7 +130,8 @@ mod tests {
                 threads: None,
             },
             2,
-        );
+        )
+        .0;
         assert_eq!(stats.len(), 4);
         assert!(stats.last().unwrap().loss < stats.first().unwrap().loss);
     }

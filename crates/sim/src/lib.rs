@@ -7,10 +7,9 @@
 //! * **Functional**: [`comm::run_ranks`] spawns real rank threads that
 //!   exchange real matrices over channels — the NCCL stand-in used by the
 //!   distributed trainers for convergence experiments and equivalence
-//!   tests. The collectives sit behind the [`comm::Comm`] trait with two
-//!   transports ([`comm::SimComm`] mailbox, [`comm::SharedMemComm`]
-//!   per-pair lanes, selected by `DGNN_COMM`), bit-identical to each
-//!   other by construction.
+//!   tests. Each rank's [`comm::Comm`] endpoint runs the collectives over
+//!   a dedicated channel per ordered rank pair, with fixed rank-order
+//!   reductions so every replica computes the same bits.
 //! * **Analytic**: [`perf::estimate_epoch`] walks the same execution
 //!   schedule over per-snapshot statistics, accumulating simulated time
 //!   (bandwidth/latency/throughput model in [`machine::MachineSpec`]) and
@@ -23,10 +22,7 @@ pub mod machine;
 pub mod memory;
 pub mod perf;
 
-pub use comm::{
-    run_ranks, run_ranks_on, scoped_transport, try_run_ranks, try_run_ranks_on, Comm, CommMark,
-    CommTransport, Payload, RankAbort, RankPanic, SharedMemComm, SimComm, TransportGuard,
-};
+pub use comm::{run_ranks, try_run_ranks, Comm, CommMark, Payload, RankAbort, RankPanic};
 pub use machine::MachineSpec;
 pub use memory::{coo_bytes, dense_bytes, MemoryTracker, OutOfMemory};
 pub use perf::{estimate_epoch, tune_nb, ModelKind, PerfConfig, PerfReport, Scheme};

@@ -6,7 +6,8 @@
 //! host-to-device transfers with pinned memory. The absolute numbers are
 //! effective (achieved) rates, not peaks — they are the calibration knobs
 //! that make the analytic engine reproduce the *shape* of the paper's
-//! results; EXPERIMENTS.md records the calibration.
+//! results; the `calib` binary of `dgnn-bench` prints the breakdown they
+//! were tuned against.
 
 /// Cluster and device constants used by every cost model.
 #[derive(Clone, Copy, Debug)]

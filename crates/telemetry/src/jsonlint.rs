@@ -1,6 +1,6 @@
 //! Minimal JSON validity checker (RFC 8259 grammar, no value
-//! materialization). Lets the bench harness and CI smoke prove that
-//! exported traces and reports parse, without a JSON dependency.
+//! materialization). Lets the tests prove that exported traces and
+//! reports parse, without a JSON dependency.
 
 /// Validates that `s` is one complete JSON document. Returns the byte
 /// offset and a short description on the first error.

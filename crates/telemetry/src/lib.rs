@@ -15,8 +15,8 @@
 //!   with Prometheus-style text exposition. Histograms store their sum in
 //!   fixed-point so merging per-thread shards is order-independent.
 //!
-//! [`jsonlint`] is a minimal JSON validity checker used by the bench
-//! harness and CI smoke to prove exported traces parse without pulling in
+//! [`jsonlint`] is a minimal JSON validity checker the tests and
+//! `dgnn-benchmark` use to prove exported traces parse without pulling in
 //! a JSON dependency.
 //!
 //! See `docs/OBSERVABILITY.md` for the span taxonomy and capture how-to.

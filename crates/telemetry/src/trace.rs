@@ -7,9 +7,7 @@
 //!    or RNG state. The equivalence test pins this: a traced run is
 //!    bit-identical to an untraced one.
 //! 2. **Near-zero cost when off.** [`enabled`] is one relaxed atomic load;
-//!    a disabled [`span`] constructs a dead guard and records nothing. The
-//!    train-engine bench asserts the per-probe cost stays in the tens of
-//!    nanoseconds.
+//!    a disabled [`span`] constructs a dead guard and records nothing.
 //! 3. **Lock-free-enough when on.** Each thread appends to its own ring
 //!    buffer behind a `Mutex` that only that thread and the exporter ever
 //!    touch, so recording never contends with other recording threads.

@@ -532,8 +532,8 @@ impl Dense {
     /// a serial FP dependency chain the compiler cannot vectorize — with
     /// the vectorizable axpy order; since the dot product accumulated
     /// each `out[i][j]` in the same increasing-`k` order from `0.0`, the
-    /// rewrite is bit-identical on every input (`BENCH_parallel.json`
-    /// had this kernel ~4x slower than `matmul` at the same size).
+    /// rewrite is bit-identical on every input (the dot-product form ran
+    /// ~4x slower than `matmul` at the same size).
     ///
     /// # Panics
     /// Panics when the column counts disagree — validated up front, before

@@ -110,10 +110,9 @@ pub fn host_parallelism() -> usize {
 
 /// Thread count for memory-bound kernels: the resolved count capped at
 /// the host's logical CPUs. Oversubscribing a bandwidth-bound kernel only
-/// adds scheduling overhead (`BENCH_parallel.json` once recorded `spmm`
-/// at 0.96x "speedup" running 4 threads on a 1-core host), and since the
-/// determinism contract makes results thread-count independent, capping
-/// the dispatch is free.
+/// adds scheduling overhead (`spmm` once ran at 0.96x "speedup" on 4
+/// threads of a 1-core host), and since the determinism contract makes
+/// results thread-count independent, capping the dispatch is free.
 pub fn membound_threads() -> usize {
     effective_threads().min(host_parallelism())
 }

@@ -364,9 +364,10 @@ impl Csr {
     ///
     /// The transpose's random per-entry writes cost roughly
     /// [`Csr::TRANSPOSE_COST_F_UNITS`] feature-columns' worth of gather
-    /// work per entry (measured in `BENCH_parallel.json`), so the parallel
-    /// path only wins when `f·(1 − 1/threads)` exceeds that; below the
-    /// break-even the serial scatter is kept even with threads available.
+    /// work per entry (measured with the `kernel_scaling` sweep), so the
+    /// parallel path only wins when `f·(1 − 1/threads)` exceeds that;
+    /// below the break-even the serial scatter is kept even with threads
+    /// available.
     /// The built transpose is cached on the matrix, so trainers that call
     /// this backward kernel every block rerun and epoch with the same
     /// immutable Laplacian pay the counting sort once.

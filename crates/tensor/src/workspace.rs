@@ -114,8 +114,8 @@ impl Drop for DisableGuard {
 }
 
 /// Suppresses workspace reuse on this thread for the guard's lifetime:
-/// [`engage`] calls inside the scope install nothing. Used by the
-/// `train_engine` benchmark to measure the no-reuse baseline.
+/// [`engage`] calls inside the scope install nothing: the no-reuse
+/// baseline the equivalence tests compare against.
 pub fn disable() -> DisableGuard {
     SUPPRESSED.with(|s| *s.borrow_mut() += 1);
     DisableGuard(())

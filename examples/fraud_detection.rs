@@ -40,7 +40,7 @@ fn main() {
     let p = 2; // simulated GPUs
     println!("training EvolveGCN on {p} simulated GPUs (snapshot partitioning)\n");
 
-    let stats = train_distributed(
+    let stats = train_distributed_digest(
         &raw,
         &next,
         cfg,
@@ -53,7 +53,8 @@ fn main() {
             threads: None,
         },
         p,
-    );
+    )
+    .0;
 
     println!(
         "{:>5} {:>10} {:>11} {:>10} {:>12}",

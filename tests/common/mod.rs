@@ -1,6 +1,5 @@
-//! Golden captures of the three distributed strategies, shared by
-//! `engine_equivalence.rs` (ambient transport) and
-//! `transport_equivalence.rs` (pinned to shared memory).
+//! Golden captures of the three distributed strategies, asserted by
+//! `engine_equivalence.rs`.
 
 use dgnn_core::prelude::*;
 use dgnn_tensor::digest::fnv1a as fnv;

@@ -25,7 +25,7 @@ fn snapshot_trainer_moves_the_predicted_feature_volume() {
     let next = g.snapshot(8).clone();
     let kind = ModelKind::TmGcn;
     for p in [2usize, 4] {
-        let stats = train_distributed(
+        let stats = train_distributed_digest(
             &raw,
             &next,
             cfg(kind),
@@ -38,7 +38,8 @@ fn snapshot_trainer_moves_the_predicted_feature_volume() {
                 threads: None,
             },
             p,
-        );
+        )
+        .0;
         let measured = stats[0].comm_bytes as f64;
         // `comm_bytes` is per-rank. The checkpointed backward re-runs the
         // forward redistributions of every block but the last, whose tape
@@ -69,7 +70,7 @@ fn snapshot_volume_is_independent_of_density() {
         let g = dgnn_graph::gen::churn_skewed(32, 7, m, 0.25, 0.9, 4);
         let raw = g.time_slice(0, 6);
         let next = g.snapshot(6).clone();
-        let stats = train_distributed(
+        let stats = train_distributed_digest(
             &raw,
             &next,
             cfg(ModelKind::TmGcn),
@@ -82,7 +83,8 @@ fn snapshot_volume_is_independent_of_density() {
                 threads: None,
             },
             2,
-        );
+        )
+        .0;
         stats[0].comm_bytes
     };
     let sparse = run(60);
@@ -123,7 +125,7 @@ fn evolvegcn_communicates_orders_less_than_tmgcn() {
     let raw = g.time_slice(0, 6);
     let next = g.snapshot(6).clone();
     let run = |kind: ModelKind| {
-        train_distributed(
+        let (stats, _) = train_distributed_digest(
             &raw,
             &next,
             cfg(kind),
@@ -136,8 +138,8 @@ fn evolvegcn_communicates_orders_less_than_tmgcn() {
                 threads: None,
             },
             4,
-        )[0]
-        .comm_bytes
+        );
+        stats[0].comm_bytes
     };
     let egcn = run(ModelKind::EvolveGcn);
     let tmgcn = run(ModelKind::TmGcn);

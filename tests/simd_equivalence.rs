@@ -280,6 +280,9 @@ proptest! {
         f in 0usize..11,
         seed in 0u64..1_000_000,
     ) {
+        // Strict bits across thread counts on specials need one compile
+        // for the whole case: a concurrent override flip moves NaN payloads.
+        let _lock = SIMD_OVERRIDE_LOCK.lock().unwrap();
         let mut val = specials_stream(seed);
         let triplets: Vec<(u32, u32, f32)> =
             positions.iter().map(|&(r, c)| (r, c, val())).collect();
@@ -312,7 +315,9 @@ fn sell_path_specials_bitwise_stable() {
     // Specials at SELL-engaged size, exercising both walkers: narrow f
     // (lockstep panels, where reading a padded slot would corrupt bits —
     // -0.0 + +0.0 flips sign, padded x gathers could inject NaN) and wide
-    // f (per-lane register-chunk gather).
+    // f (per-lane register-chunk gather). Holds the override lock for the
+    // same reason as the proptest above.
+    let _lock = SIMD_OVERRIDE_LOCK.lock().unwrap();
     let mut a = sell_sized_csr();
     let mut val = specials_stream(31);
     for v in a.values_mut() {
