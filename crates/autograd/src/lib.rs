@@ -13,6 +13,8 @@
 //! the next as [`Tape::input`] leaves, and incoming gradients are injected
 //! as [`Tape::backward`] seeds.
 
+#![forbid(unsafe_code)]
+
 pub mod gradcheck;
 pub mod optim;
 pub mod params;

@@ -14,6 +14,8 @@
 //! across churn rates). Measured end-to-end and per-layer numbers come
 //! from `dgnn-benchmark` (`benchmark/`), not from here.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod fig4;
 pub mod fig5;

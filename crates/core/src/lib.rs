@@ -36,6 +36,7 @@
 //! final parameters to pre-engine golden bit patterns.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod classification;
 pub mod distributed;

@@ -9,6 +9,7 @@
 //! the snapshot byte codec ([`snapshot_io`]) the out-of-core store frames.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod diff;

@@ -13,6 +13,8 @@
 //! run of timesteps — so the trainers in `dgnn-core` can insert gradient
 //! checkpointing and all-to-all redistribution between segments.
 
+#![forbid(unsafe_code)]
+
 pub mod carry;
 pub mod config;
 pub mod gcn;

@@ -8,6 +8,8 @@
 //! volume accounting for both schemes, and the hybrid (intra-snapshot)
 //! layout of §6.5.
 
+#![forbid(unsafe_code)]
+
 pub mod hybrid;
 pub mod hypergraph;
 pub mod snapshot_part;

@@ -25,6 +25,7 @@
 //!   kernels running on the PR-2 thread pool.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod engine;

@@ -25,10 +25,10 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dgnn_telemetry::trace;
 use dgnn_tensor::{Csr, Dense};
 
@@ -365,7 +365,7 @@ fn build(p: usize, poison: &Arc<AtomicUsize>) -> Vec<Comm> {
     for _from in 0..p {
         let mut row = Vec::with_capacity(p);
         for to_grid in rx_grid.iter_mut() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             row.push(tx);
             to_grid.push(rx);
         }
@@ -494,13 +494,13 @@ where
     let _ranks = dgnn_tensor::pool::RankScope::enter(p);
     // `comms` outlives the scope, so every channel endpoint stays alive
     // until all rank threads have exited: sends cannot fail mid-teardown.
-    let outcomes: Vec<Result<R, Box<dyn Any + Send>>> = crossbeam::thread::scope(|scope| {
+    let outcomes: Vec<Result<R, Box<dyn Any + Send>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .iter_mut()
             .enumerate()
             .map(|(rank, comm)| {
                 let poison = Arc::clone(&poison);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _threads = dgnn_tensor::pool::scoped_threads(ambient_threads);
                     // Tag the thread so spans export under this rank's pid
                     // lane; the tag dies with the scoped thread.
@@ -524,8 +524,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("rank thread died outside catch_unwind"))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     if outcomes.iter().all(Result::is_ok) {
         return Ok(outcomes

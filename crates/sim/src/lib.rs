@@ -16,6 +16,8 @@
 //!   memory ([`memory::MemoryTracker`]), which evaluates paper-scale
 //!   configurations exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod comm;
 pub mod machine;

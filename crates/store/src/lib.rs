@@ -24,6 +24,7 @@
 //! nothing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod tier;

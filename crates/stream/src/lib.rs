@@ -34,6 +34,8 @@
 //! [`StreamWindow::diff`] round-trips through `dgnn_graph::reconstruct`
 //! onto the previous window's snapshot.
 
+#![forbid(unsafe_code)]
+
 pub mod batcher;
 pub mod event;
 pub mod streaming;

@@ -11,15 +11,20 @@
 //! property tests.
 
 #![warn(missing_docs)]
+// `unsafe` is confined to two audited modules: the SIMD shim (AVX2
+// dispatch, prefetch) and the pool (the workers' job lifetime erasure).
+#![deny(unsafe_code)]
 
 pub mod dense;
 pub mod digest;
 pub mod init;
 pub mod lstm;
+#[allow(unsafe_code)]
 pub mod pool;
-mod sell;
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod sparse;
+mod spmm_kernels;
 pub mod tensor3;
 pub mod workspace;
 

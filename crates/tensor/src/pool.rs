@@ -1,5 +1,6 @@
-//! Intra-rank parallel execution: thread-count resolution and the
-//! row-partitioned dispatch helpers every parallel kernel builds on.
+//! Intra-rank parallel execution: thread-count resolution, the persistent
+//! worker pool, and the row-partitioned dispatch helpers every parallel
+//! kernel builds on.
 //!
 //! # Determinism contract
 //!
@@ -17,9 +18,8 @@
 //! compute-bound GEMMs dispatch through [`par_rows`] (floor
 //! [`PAR_MIN_ROW_WORK`]), while memory-bound kernels — SpMM and friends,
 //! which saturate bandwidth with few threads — use [`par_rows_membound`]
-//! (higher floor [`PAR_MIN_MEMBOUND_WORK`], thread count capped at the
-//! host's logical CPUs so an oversubscribed override cannot regress them
-//! below serial). The gates only decide *whether and how wide* to
+//! (higher floor [`PAR_MIN_MEMBOUND_WORK`], chunked for at most the
+//! host's logical CPUs). The gates only decide *whether and how wide* to
 //! dispatch, never what is computed, so they sit outside the determinism
 //! contract.
 //!
@@ -33,15 +33,29 @@
 //!    threads ([`RankScope`]), so `dgnn-sim`'s rank model composes with
 //!    intra-rank parallelism instead of oversubscribing the host.
 //!
-//! Each OS thread owns its own lazily-built [`rayon::ThreadPool`], resized
-//! when the resolved count changes; rank threads therefore get independent
-//! pools with no cross-rank job contention.
+//! The resolved count sets how many blocks a kernel is split into. The
+//! threads that run them come from one lazily-built pool per OS thread,
+//! [`membound_threads`] wide (the resolved count capped at the host's
+//! logical CPUs) for every kernel class, so alternating GEMM and SpMM
+//! calls never rebuild it; rank threads get independent pools with no
+//! cross-rank job contention.
+//!
+//! # The pool
+//!
+//! Workers are spawned once and parked on a condvar between jobs, so a
+//! kernel-sized dispatch costs two lock round-trips rather than thread
+//! spawns. Every dispatch hands out blocks the caller pre-split with
+//! `chunks_mut` / `split_at_mut`: workers *claim* block indices from a
+//! shared atomic counter, so load balances dynamically, and a claimed
+//! index takes its block out of its own slot, so exclusive access is
+//! checked by the borrow checker rather than promised by the kernel.
+//! Nested dispatch (from a worker, or from the submitting thread while it
+//! participates) runs inline on the calling thread.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-use rayon::ThreadPool;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// Environment variable overriding the intra-rank thread count.
 pub const ENV_THREADS: &str = "DGNN_THREADS";
@@ -71,6 +85,15 @@ pub const REDUCE_CHUNK: usize = 4096;
 thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     static POOL: RefCell<Option<ThreadPool>> = const { RefCell::new(None) };
+    /// True while this thread runs inside a pool job — as a worker, or as
+    /// the submitting thread participating in its own job.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pools built on this thread (observes rebuilds in the unit tests).
+    static POOL_BUILDS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Rank threads currently alive inside a `run_ranks` scope (process-wide).
@@ -108,11 +131,12 @@ pub fn host_parallelism() -> usize {
     *AVAIL.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Thread count for memory-bound kernels: the resolved count capped at
-/// the host's logical CPUs. Oversubscribing a bandwidth-bound kernel only
-/// adds scheduling overhead (`spmm` once ran at 0.96x "speedup" on 4
-/// threads of a 1-core host), and since the determinism contract makes
-/// results thread-count independent, capping the dispatch is free.
+/// The resolved count capped at the host's logical CPUs: the width of
+/// this thread's pool, and the chunking of memory-bound kernels.
+/// Oversubscribing a bandwidth-bound kernel only adds scheduling overhead
+/// (`spmm` once ran at 0.96x "speedup" on 4 threads of a 1-core host), and
+/// since the determinism contract makes results thread-count independent,
+/// capping the dispatch is free.
 pub fn membound_threads() -> usize {
     effective_threads().min(host_parallelism())
 }
@@ -173,15 +197,249 @@ impl Drop for RankScope {
     }
 }
 
-/// Runs `f` against this thread's pool, rebuilding it if the resolved
-/// thread count changed since the last kernel call.
-fn with_pool<R>(threads: usize, f: impl FnOnce(&ThreadPool) -> R) -> R {
+fn in_parallel() -> bool {
+    IN_POOL.with(Cell::get)
+}
+
+/// Marks the thread as inside a pool job until dropped, restoring the
+/// previous flag even during unwinding — a panicking job must not leave
+/// the thread marked, which would silently serialize every later dispatch.
+struct InPoolGuard {
+    prev: bool,
+}
+
+fn enter_parallel() -> InPoolGuard {
+    InPoolGuard {
+        prev: IN_POOL.with(|c| c.replace(true)),
+    }
+}
+
+impl Drop for InPoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.prev));
+    }
+}
+
+/// The job in flight: its closure with the borrow lifetime erased (see
+/// [`ThreadPool::parallel_for`]) and its block count.
+#[derive(Clone, Copy)]
+struct Job {
+    f: &'static (dyn Fn(usize) + Sync),
+    chunks: usize,
+}
+
+struct State {
+    epoch: u64,
+    job: Option<Job>,
+    /// Workers that have not yet finished the current job.
+    running: usize,
+    /// First panic payload raised by a worker during the current job; the
+    /// submitter re-raises it once every thread has stopped touching the
+    /// job's borrows.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+    shutdown: bool,
+}
+
+/// Jobs run outside every pool lock, so a lock can only be poisoned by a
+/// bug in the pool itself.
+const NO_PANIC_UNDER_LOCK: &str = "pool lock poisoned: no job runs under it";
+
+struct Shared {
+    state: Mutex<State>,
+    /// The current job's next unclaimed index, reset under `state` before
+    /// the job is published, so the lock orders the reset before any
+    /// worker's claims. `Relaxed` claims suffice: the counter publishes no
+    /// data, and each index goes to exactly one `fetch_add`.
+    next: AtomicUsize,
+    /// Signals workers that a new job (or shutdown) is available.
+    work: Condvar,
+    /// Signals the submitter that all workers finished the current job.
+    done: Condvar,
+}
+
+/// A fixed-size pool of persistent worker threads. The submitting thread
+/// participates in each job, so a pool of `num_threads` executes on
+/// `num_threads` threads while spawning `num_threads - 1` workers; one
+/// job runs at a time.
+struct ThreadPool {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl ThreadPool {
+    /// A pool executing on `num_threads` threads (including the
+    /// submitter); `num_threads <= 1` spawns no workers and runs inline.
+    fn new(num_threads: usize) -> Self {
+        #[cfg(test)]
+        POOL_BUILDS.with(|b| b.set(b.get() + 1));
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                epoch: 0,
+                job: None,
+                running: 0,
+                panic: None,
+                shutdown: false,
+            }),
+            next: AtomicUsize::new(0),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let workers = (1..num_threads.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("dgnn-pool-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("failed to spawn pool worker")
+            })
+            .collect();
+        Self { shared, workers }
+    }
+
+    fn num_threads(&self) -> usize {
+        self.workers.len() + 1
+    }
+
+    /// Runs `f(i, block)` for every pre-split block, distributing indices
+    /// across the pool. Each index takes its block out of its own slot, so
+    /// every block is handed to exactly one invocation by value. Returns
+    /// once all have completed; a panic in any invocation is re-raised here.
+    fn for_each<B: Send>(&self, blocks: Vec<B>, f: impl Fn(usize, B) + Sync) {
+        if blocks.len() <= 1 || self.workers.is_empty() || in_parallel() {
+            let _guard = enter_parallel();
+            for (i, block) in blocks.into_iter().enumerate() {
+                f(i, block);
+            }
+            return;
+        }
+        let slots: Vec<Mutex<Option<B>>> =
+            blocks.into_iter().map(|b| Mutex::new(Some(b))).collect();
+        self.parallel_for(slots.len(), &|i| {
+            let block = slots[i].lock().expect(NO_PANIC_UNDER_LOCK).take();
+            f(i, block.expect("each block index is claimed once"));
+        });
+    }
+
+    /// Runs `f(i)` for every `i in 0..chunks` on the submitter and the
+    /// workers by atomic claiming, returning after every invocation has
+    /// completed.
+    fn parallel_for(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: the one lifetime erasure in the crate. Workers are
+        // persistent, so the job they read must be `'static`; the borrow
+        // is in fact live for as long as any worker uses it, because this
+        // frame does not return (nor unwind — the submitter's own panic is
+        // caught below) until `running` drops to zero, and every worker
+        // decrements `running` only after its last call of `f`.
+        let f = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
+        };
+        {
+            let mut st = self.shared.state.lock().expect(NO_PANIC_UNDER_LOCK);
+            debug_assert!(st.job.is_none(), "pool already has a job in flight");
+            self.shared.next.store(0, Ordering::Relaxed);
+            st.job = Some(Job { f, chunks });
+            st.epoch += 1;
+            st.running = self.workers.len();
+            self.shared.work.notify_all();
+        }
+        let mine = {
+            let _guard = enter_parallel();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                claim_loop(&self.shared.next, f, chunks)
+            }))
+        };
+        let worker_panic = {
+            let mut st = self.shared.state.lock().expect(NO_PANIC_UNDER_LOCK);
+            while st.running > 0 {
+                st = self.shared.done.wait(st).expect(NO_PANIC_UNDER_LOCK);
+            }
+            st.job = None;
+            st.panic.take()
+        };
+        if let Err(p) = mine {
+            std::panic::resume_unwind(p);
+        }
+        if let Some(p) = worker_panic {
+            std::panic::resume_unwind(p);
+        }
+    }
+}
+
+fn claim_loop(next: &AtomicUsize, f: &(dyn Fn(usize) + Sync), chunks: usize) {
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= chunks {
+            break;
+        }
+        f(i);
+    }
+}
+
+impl Drop for ThreadPool {
+    fn drop(&mut self) {
+        {
+            let mut st = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            st.shutdown = true;
+            self.shared.work.notify_all();
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    IN_POOL.with(|c| c.set(true));
+    let mut seen_epoch = 0u64;
+    loop {
+        let job = {
+            let mut st = shared.state.lock().expect(NO_PANIC_UNDER_LOCK);
+            loop {
+                if st.shutdown {
+                    return;
+                }
+                if st.epoch != seen_epoch {
+                    if let Some(job) = st.job {
+                        seen_epoch = st.epoch;
+                        break job;
+                    }
+                }
+                st = shared.work.wait(st).expect(NO_PANIC_UNDER_LOCK);
+            }
+        };
+        // A panic is parked for the submitter to re-raise: the worker must
+        // still decrement `running` or the submitter waits forever.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            claim_loop(&shared.next, job.f, job.chunks)
+        }));
+        let mut st = shared.state.lock().expect(NO_PANIC_UNDER_LOCK);
+        if let Err(p) = result {
+            st.panic.get_or_insert(p);
+        }
+        st.running -= 1;
+        if st.running == 0 {
+            shared.done.notify_all();
+        }
+    }
+}
+
+/// Runs `f(i, block)` for every block on this thread's pool, building it
+/// (or rebuilding it, if the resolved width changed since the last
+/// dispatch) at [`membound_threads`] threads.
+fn run_blocks<B: Send>(blocks: Vec<B>, f: impl Fn(usize, B) + Sync) {
+    let threads = membound_threads();
     POOL.with(|cell| {
         let mut slot = cell.borrow_mut();
         if slot.as_ref().is_none_or(|p| p.num_threads() != threads) {
             *slot = Some(ThreadPool::new(threads));
         }
-        f(slot.as_ref().expect("pool just installed"))
+        slot.as_ref()
+            .expect("pool just installed")
+            .for_each(blocks, f)
     })
 }
 
@@ -191,7 +449,7 @@ fn with_pool<R>(threads: usize, f: impl FnOnce(&ThreadPool) -> R) -> R {
 /// `spmm_transa` building the transpose) consult this first so the serial
 /// path pays nothing.
 pub fn rows_parallel(rows: usize, total_work: usize) -> bool {
-    rows > 1 && total_work >= PAR_MIN_ROW_WORK && effective_threads() > 1 && !rayon::in_parallel()
+    rows > 1 && total_work >= PAR_MIN_ROW_WORK && effective_threads() > 1 && !in_parallel()
 }
 
 /// [`rows_parallel`] for memory-bound kernels: the higher
@@ -199,10 +457,7 @@ pub fn rows_parallel(rows: usize, total_work: usize) -> bool {
 /// [`membound_threads`] count, so bandwidth-bound loops never engage an
 /// oversubscribed pool that can only lose to serial.
 pub fn rows_parallel_membound(rows: usize, total_work: usize) -> bool {
-    rows > 1
-        && total_work >= PAR_MIN_MEMBOUND_WORK
-        && membound_threads() > 1
-        && !rayon::in_parallel()
+    rows > 1 && total_work >= PAR_MIN_MEMBOUND_WORK && membound_threads() > 1 && !in_parallel()
 }
 
 /// Row-partitioned parallel execution over `data`, interpreted as rows of
@@ -227,9 +482,9 @@ pub fn par_rows<T: Send>(
 }
 
 /// [`par_rows`] for memory-bound kernels (SpMM, transposes): engages
-/// under [`rows_parallel_membound`] and never dispatches more threads
-/// than the host has logical CPUs. The callback contract — and therefore
-/// the bit-identity guarantee — is exactly [`par_rows`]'s.
+/// under [`rows_parallel_membound`] and splits into blocks for at most
+/// the host's logical CPUs. The callback contract — and therefore the
+/// bit-identity guarantee — is exactly [`par_rows`]'s.
 pub fn par_rows_membound<T: Send>(
     data: &mut [T],
     row_len: usize,
@@ -259,23 +514,19 @@ fn dispatch_rows<T: Send>(
     }
     // A few chunks per thread so atomic claiming can balance skewed rows
     // (e.g. power-law SpMM); boundaries never affect results.
-    let chunks = rows.min(threads * 4);
-    let rows_per_chunk = rows.div_ceil(chunks);
-    with_pool(threads, |pool| {
-        pool.par_chunks_mut(data, rows_per_chunk * row_len, |ci, block| {
-            f(ci * rows_per_chunk, block);
-        });
-    });
+    let rows_per_chunk = rows.div_ceil(rows.min(threads * 4));
+    let blocks: Vec<&mut [T]> = data.chunks_mut(rows_per_chunk * row_len).collect();
+    run_blocks(blocks, |ci, block| f(ci * rows_per_chunk, block));
 }
 
 /// [`par_rows`] over `K` output buffers that share a row count:
 /// `f(start_row, blocks)` receives the *matching* row blocks of every
 /// buffer (`bufs[i]` is rows of `row_lens[i]` elements) and must write only
 /// those. For kernels with several outputs per row — the fused LSTM cell
-/// writes gate activations, `tanh(c)`, `c` and `h` in one pass — without a
-/// raw-pointer scatter: the buffers are split with `chunks_mut` and the
-/// per-chunk tuples are what the pool partitions. Same engage gate and
-/// determinism contract as [`par_rows`].
+/// writes gate activations, `tanh(c)`, `c` and `h` in one pass: each
+/// buffer is split with `chunks_mut` and the per-chunk tuples are the
+/// blocks the pool hands out. Same engage gate and determinism contract as
+/// [`par_rows`].
 pub fn par_rows_zip<T: Send, const K: usize>(
     bufs: [&mut [T]; K],
     row_lens: [usize; K],
@@ -289,18 +540,17 @@ pub fn par_rows_zip<T: Send, const K: usize>(
     for (buf, &len) in bufs.iter().zip(&row_lens) {
         assert_eq!(buf.len(), rows * len, "buffers disagree on the row count");
     }
-    let threads = effective_threads();
     if !rows_parallel(rows, total_work) {
         f(0, bufs);
         return;
     }
-    let rows_per_chunk = rows.div_ceil(rows.min(threads * 4));
+    let rows_per_chunk = rows.div_ceil(rows.min(effective_threads() * 4));
     let mut iters: Vec<_> = bufs
         .into_iter()
         .zip(row_lens)
         .map(|(buf, len)| buf.chunks_mut(rows_per_chunk * len))
         .collect();
-    let mut blocks: Vec<[&mut [T]; K]> = (0..rows.div_ceil(rows_per_chunk))
+    let blocks: Vec<[&mut [T]; K]> = (0..rows.div_ceil(rows_per_chunk))
         .map(|_| {
             std::array::from_fn(|i| {
                 iters[i]
@@ -309,44 +559,24 @@ pub fn par_rows_zip<T: Send, const K: usize>(
             })
         })
         .collect();
-    with_pool(threads, |pool| {
-        pool.par_chunks_mut(&mut blocks, 1, |ci, entry| {
-            f(ci * rows_per_chunk, entry[0].each_mut().map(|b| &mut **b));
-        });
-    });
+    run_blocks(blocks, |ci, block| f(ci * rows_per_chunk, block));
 }
 
-/// Index-parallel loop: runs `f(i)` for every `i in 0..n`, across the pool
-/// when `total_work` clears the row-work threshold (serially, in order,
-/// otherwise). The closure is responsible for keeping its writes disjoint
-/// across indices.
-pub fn par_indices(n: usize, total_work: usize, f: impl Fn(usize) + Sync) {
-    if n == 0 {
+/// Runs `f(block)` for every pre-split block of a memory-bound kernel —
+/// for outputs whose disjoint pieces are not one regular row split (e.g.
+/// the spans of a row-subset scatter, carved with `split_at_mut`). Engages
+/// under [`rows_parallel_membound`] with one row per block; serially, in
+/// order, otherwise.
+pub(crate) fn par_blocks_membound<B: Send>(
+    blocks: Vec<B>,
+    total_work: usize,
+    f: impl Fn(B) + Sync,
+) {
+    if !rows_parallel_membound(blocks.len(), total_work) {
+        blocks.into_iter().for_each(f);
         return;
     }
-    if !rows_parallel(n, total_work) {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    with_pool(effective_threads(), |pool| pool.parallel_for(n, &f));
-}
-
-/// [`par_indices`] for memory-bound kernels: gates on
-/// [`rows_parallel_membound`] and dispatches at most [`membound_threads`]
-/// workers, with the same disjoint-writes contract on the closure.
-pub fn par_indices_membound(n: usize, total_work: usize, f: impl Fn(usize) + Sync) {
-    if n == 0 {
-        return;
-    }
-    if !rows_parallel_membound(n, total_work) {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    with_pool(membound_threads(), |pool| pool.parallel_for(n, &f));
+    run_blocks(blocks, |_, block| f(block));
 }
 
 /// Element-partitioned parallel execution: `f(start_index, chunk)` over
@@ -369,17 +599,13 @@ pub fn par_elems_weighted<T: Send>(
         return;
     }
     let threads = effective_threads();
-    if threads <= 1 || len <= 1 || total_work < PAR_MIN_ELEMS || rayon::in_parallel() {
+    if threads <= 1 || len <= 1 || total_work < PAR_MIN_ELEMS || in_parallel() {
         f(0, data);
         return;
     }
-    let chunks = len.min(threads * 4);
-    let per_chunk = len.div_ceil(chunks);
-    with_pool(threads, |pool| {
-        pool.par_chunks_mut(data, per_chunk, |ci, chunk| {
-            f(ci * per_chunk, chunk);
-        });
-    });
+    let per_chunk = len.div_ceil(len.min(threads * 4));
+    let blocks: Vec<&mut [T]> = data.chunks_mut(per_chunk).collect();
+    run_blocks(blocks, |ci, chunk| f(ci * per_chunk, chunk));
 }
 
 /// Deterministic chunked reduction: computes `partial(chunk)` for every
@@ -391,24 +617,21 @@ pub fn reduce_chunks(data: &[f32], partial: impl Fn(&[f32]) -> f32 + Sync) -> f3
     if data.is_empty() {
         return 0.0;
     }
-    let n_chunks = data.len().div_ceil(REDUCE_CHUNK);
-    let mut partials = vec![0.0f32; n_chunks];
-    let threads = effective_threads();
+    let mut partials = vec![0.0f32; data.len().div_ceil(REDUCE_CHUNK)];
+    let blocks: Vec<(&mut f32, &[f32])> =
+        partials.iter_mut().zip(data.chunks(REDUCE_CHUNK)).collect();
     // Same engage gate as the element-wise kernels: below it the pool
     // dispatch would dominate the couple of partial sums. The chunk
     // boundaries are fixed either way, so the result does not change.
-    if n_chunks == 1 || threads <= 1 || data.len() < PAR_MIN_ELEMS || rayon::in_parallel() {
-        for (i, chunk) in data.chunks(REDUCE_CHUNK).enumerate() {
-            partials[i] = partial(chunk);
-        }
+    let engage = blocks.len() > 1
+        && effective_threads() > 1
+        && data.len() >= PAR_MIN_ELEMS
+        && !in_parallel();
+    let run = |_, (out, chunk): (&mut f32, &[f32])| *out = partial(chunk);
+    if engage {
+        run_blocks(blocks, run);
     } else {
-        with_pool(threads, |pool| {
-            pool.par_chunks_mut(&mut partials, 1, |ci, out| {
-                let start = ci * REDUCE_CHUNK;
-                let end = (start + REDUCE_CHUNK).min(data.len());
-                out[0] = partial(&data[start..end]);
-            });
-        });
+        blocks.into_iter().enumerate().for_each(|(i, b)| run(i, b));
     }
     partials.iter().sum()
 }
@@ -416,6 +639,7 @@ pub fn reduce_chunks(data: &[f32], partial: impl Fn(&[f32]) -> f32 + Sync) -> f3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn scoped_override_nests_and_restores() {
@@ -491,6 +715,49 @@ mod tests {
     }
 
     #[test]
+    fn pool_is_built_once_across_kernel_classes() {
+        // An oversubscribed override: GEMM-class dispatch chunks for the
+        // resolved count, SpMM-class for the host; both share one pool at
+        // the host-capped width, so alternating them must not rebuild it.
+        let _g = scoped_threads(Some(host_parallelism() + 6));
+        let mut data = vec![0u32; 64 * 4];
+        let fill = |r0: usize, block: &mut [u32]| {
+            for (dr, row) in block.chunks_mut(4).enumerate() {
+                row.fill((r0 + dr) as u32);
+            }
+        };
+        par_rows(&mut data, 4, usize::MAX, fill);
+        let builds = POOL_BUILDS.with(Cell::get);
+        for _ in 0..10 {
+            par_rows_membound(&mut data, 4, usize::MAX, fill);
+            par_rows(&mut data, 4, usize::MAX, fill);
+        }
+        assert_eq!(POOL_BUILDS.with(Cell::get), builds, "pool rebuilt");
+        assert!(data
+            .chunks(4)
+            .enumerate()
+            .all(|(r, row)| row == [r as u32; 4]));
+    }
+
+    #[test]
+    fn par_blocks_membound_runs_every_block_once() {
+        for threads in [1, 2, 5] {
+            let _g = scoped_threads(Some(threads));
+            let mut data = [0u32; 50];
+            let (head, tail) = data.split_at_mut(17);
+            let (mid, tail) = tail.split_at_mut(3);
+            par_blocks_membound(
+                vec![(1, head), (2, mid), (3, tail)],
+                usize::MAX,
+                |(v, b)| b.iter_mut().for_each(|x| *x += v),
+            );
+            assert!(data[..17].iter().all(|&v| v == 1));
+            assert!(data[17..20].iter().all(|&v| v == 2));
+            assert!(data[20..].iter().all(|&v| v == 3));
+        }
+    }
+
+    #[test]
     fn reduce_chunks_is_thread_count_invariant() {
         let data: Vec<f32> = (0..20_000).map(|i| (i as f32).sin()).collect();
         let reference = {
@@ -527,5 +794,89 @@ mod tests {
             assert!(effective_threads() <= before.max(1));
         }
         assert_eq!(effective_threads(), before);
+    }
+
+    // ---- The pool itself ------------------------------------------------
+
+    #[test]
+    fn parallel_for_covers_every_index_once() {
+        let pool = ThreadPool::new(4);
+        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
+        pool.parallel_for(1000, &|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn for_each_writes_disjoint_chunks() {
+        for threads in [1, 2, 5] {
+            let pool = ThreadPool::new(threads);
+            let mut data = vec![0u32; 103];
+            pool.for_each(data.chunks_mut(10).collect(), |ci, chunk| {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v = (ci * 10 + j) as u32;
+                }
+            });
+            assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
+        }
+    }
+
+    #[test]
+    fn pool_survives_many_jobs() {
+        let pool = ThreadPool::new(3);
+        let counter = AtomicU64::new(0);
+        for _ in 0..200 {
+            pool.parallel_for(7, &|_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 1400);
+    }
+
+    #[test]
+    fn nested_dispatch_runs_inline() {
+        let pool = ThreadPool::new(4);
+        let counter = AtomicU64::new(0);
+        pool.parallel_for(4, &|_| {
+            // Re-entrant dispatch must not deadlock on the single job slot.
+            pool.for_each(vec![(); 5], |_, ()| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn single_thread_pool_runs_inline() {
+        let pool = ThreadPool::new(1);
+        assert_eq!(pool.num_threads(), 1);
+        let mut data = [0u8; 16];
+        pool.for_each(data.chunks_mut(4).collect(), |ci, chunk| {
+            for v in chunk {
+                *v = ci as u8;
+            }
+        });
+        assert_eq!(&data[..5], &[0, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn panic_in_job_propagates_and_pool_stays_usable() {
+        let pool = ThreadPool::new(4);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Enough chunks that workers certainly participate; every chunk
+            // panics, so whichever thread runs one raises.
+            pool.parallel_for(64, &|_| panic!("boom"));
+        }));
+        assert!(result.is_err());
+        assert!(
+            !in_parallel(),
+            "a panicking job must not leave the flag set"
+        );
+        let counter = AtomicU64::new(0);
+        pool.parallel_for(64, &|_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 }

@@ -122,10 +122,8 @@ pub fn prefetch_read(data: &[f32], i: usize) {
 /// Every operation is a plain `[f32; 8]` loop of IEEE single-precision
 /// scalar ops; inside a `#[target_feature(enable = "avx2")]` compile LLVM
 /// turns each into one 256-bit vector instruction with identical per-lane
-/// results. The 32-byte alignment lets slabs of these (see
-/// [`AlignedF32`]) sit on vector-load boundaries; loads from arbitrary
-/// `&[f32]` positions are unaligned and remain correct (and near-free on
-/// every AVX2 part).
+/// results. Loads from arbitrary `&[f32]` positions are unaligned and
+/// remain correct (and near-free on every AVX2 part).
 #[derive(Clone, Copy, Debug)]
 #[repr(C, align(32))]
 pub struct F32x8(pub [f32; LANES]);
@@ -219,65 +217,6 @@ impl std::ops::Mul for F32x8 {
     }
 }
 
-/// A 32-byte-aligned `f32` buffer, allocated in [`F32x8`] units so every
-/// [`LANES`]-element group sits on one vector-load boundary. Backing
-/// storage for the SELL value panels (the workspace arena keeps handing
-/// out plain `Vec<f32>` — realigning those would change their dealloc
-/// layout, and unaligned AVX2 loads cost nothing measurable; alignment
-/// only pays on the long-lived packed panels that are streamed every
-/// SpMM call).
-pub struct AlignedF32 {
-    data: Vec<F32x8>,
-    len: usize,
-}
-
-impl AlignedF32 {
-    /// A zero-filled buffer of `len` elements (capacity rounds up to a
-    /// whole number of lane groups).
-    pub fn zeroed(len: usize) -> AlignedF32 {
-        AlignedF32 {
-            data: vec![F32x8::ZERO; len.div_ceil(LANES)],
-            len,
-        }
-    }
-
-    /// Element count (as requested; excludes rounding-up padding).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the buffer holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The elements as a contiguous `&[f32]`, first element 32-byte
-    /// aligned.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        // SAFETY: `F32x8` is `repr(C)` over `[f32; LANES]`, so `data` is a
-        // contiguous run of `data.len() * LANES` properly initialized f32
-        // values and `len <= data.len() * LANES` by construction.
-        unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<f32>(), self.len) }
-    }
-
-    /// The elements as a contiguous `&mut [f32]`.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        // SAFETY: as in `as_slice`, plus `&mut self` guarantees
-        // exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast::<f32>(), self.len) }
-    }
-}
-
-impl std::fmt::Debug for AlignedF32 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlignedF32")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
 /// Compiles a kernel body twice — portable and `#[target_feature(enable =
 /// "avx2")]` — and defines a dispatcher that picks at runtime via
 /// [`enabled`]. The body must be an `#[inline(always)]` fn so the
@@ -286,17 +225,22 @@ impl std::fmt::Debug for AlignedF32 {
 /// loops to 256-bit instructions.
 ///
 /// Usage: `simd_dispatch!(fn name = impl_fn / avx2_name(arg: Ty, ...));`
+///
+/// The generated pair carries its own `#[allow(unsafe_code)]`, so the
+/// `unsafe` it needs is written here, once, and nowhere at the call sites.
 macro_rules! simd_dispatch {
     ($vis:vis fn $name:ident = $imp:ident / $avx:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
+        /// # Safety
+        /// The host must support AVX2 (`enabled()` checked it).
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
+        #[allow(clippy::too_many_arguments, unsafe_code)]
         unsafe fn $avx($($arg: $ty),*) {
             $imp($($arg),*)
         }
 
         #[inline]
-        #[allow(clippy::too_many_arguments)]
+        #[allow(clippy::too_many_arguments, unsafe_code)]
         $vis fn $name($($arg: $ty),*) {
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             if $crate::simd::enabled() {
@@ -354,20 +298,6 @@ mod tests {
         v.store(&mut dst);
         for l in 0..LANES {
             assert_eq!(src[l].to_bits(), dst[l].to_bits());
-        }
-    }
-
-    #[test]
-    fn aligned_buffer_is_aligned_and_sized() {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65] {
-            let mut buf = AlignedF32::zeroed(len);
-            assert_eq!(buf.len(), len);
-            assert_eq!(buf.as_slice().len(), len);
-            assert_eq!(buf.as_slice().as_ptr() as usize % 32, 0);
-            if len > 0 {
-                buf.as_mut_slice()[len - 1] = 4.0;
-                assert_eq!(buf.as_slice()[len - 1], 4.0);
-            }
         }
     }
 

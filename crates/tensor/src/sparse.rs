@@ -4,8 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::dense::Dense;
-use crate::sell::{self, SellPack};
-use crate::{pool, simd};
+use crate::{pool, spmm_kernels};
 
 /// A sparse matrix in compressed-sparse-row form with `f32` values.
 ///
@@ -25,12 +24,6 @@ pub struct Csr {
     /// [`Csr::values_mut`] (the only mutation surface); excluded from
     /// equality.
     transpose_cache: OnceLock<Arc<Csr>>,
-    /// Lazily-built SELL-style packed execution layout for [`Csr::spmm`]
-    /// (see [`crate::sell`]): rows binned by stored-entry count into
-    /// lane-width slabs. Amortizes like the transpose cache — the trainers
-    /// aggregate with the same immutable Laplacian every layer and epoch.
-    /// Cleared by [`Csr::values_mut`]; excluded from equality.
-    sell_cache: OnceLock<Arc<SellPack>>,
 }
 
 /// Equality over the matrix contents only — the transpose cache is a
@@ -62,7 +55,6 @@ impl Csr {
             indices: Vec::new(),
             values: Vec::new(),
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -75,7 +67,6 @@ impl Csr {
             indices: (0..n as u32).collect(),
             values: vec![1.0; n],
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -116,7 +107,6 @@ impl Csr {
             indices,
             values,
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -148,7 +138,6 @@ impl Csr {
             indices,
             values,
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -197,12 +186,10 @@ impl Csr {
     }
 
     /// Mutable value array (topology is fixed; only weights may change).
-    /// Drops the cached transpose and SELL pack — their values would go
-    /// stale.
+    /// Drops the cached transpose — its values would go stale.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f32] {
         self.transpose_cache = OnceLock::new();
-        self.sell_cache = OnceLock::new();
         &mut self.values
     }
 
@@ -256,81 +243,36 @@ impl Csr {
 
     /// The transposed matrix (CSR of the transpose, built by counting sort).
     ///
-    /// When the pool engages, the counting sort runs partitioned: each part
-    /// histograms its slice of source rows, a serial prefix pass turns the
-    /// histograms into exact per-part slot cursors, and the parts scatter
-    /// into disjoint slots concurrently. Every entry's output slot is fixed
-    /// by the global row-major order, so the result is identical to the
-    /// serial counting sort at any thread count (or partition).
+    /// Serial on purpose: at graph sizes a partitioned scatter is slower,
+    /// because the parts' slot ranges interleave within every output row
+    /// and their writes false-share. Each output row receives its entries
+    /// in ascending source-row order.
     pub fn transpose(&self) -> Csr {
-        let (rows, cols, nnz) = (self.rows, self.cols, self.nnz());
-        // Histogram + scatter both move ~nnz entries; weight the engage
-        // decision like an f=8 SpMM so tiny matrices stay serial.
-        let work = nnz.saturating_mul(8);
-        let parts = if pool::rows_parallel_membound(rows, work) {
-            (pool::membound_threads() * 2).min(rows.max(1))
-        } else {
-            1
-        };
-        let rows_per_part = rows.div_ceil(parts).max(1);
-
-        // Per-part column histograms (part-partitioned, reads only its rows).
-        let mut counts = vec![0u32; parts * cols];
-        pool::par_rows_membound(&mut counts, cols, work, |p0, block| {
-            for (dp, hist) in block.chunks_mut(cols).enumerate() {
-                let p = p0 + dp;
-                let lo = (p * rows_per_part).min(rows);
-                let hi = ((p + 1) * rows_per_part).min(rows);
-                for &c in &self.indices[self.indptr[lo]..self.indptr[hi]] {
-                    hist[c as usize] += 1;
-                }
-            }
-        });
-
-        // Serial prefix: output row starts, then each part's slot cursor
-        // per output row (disjoint slot ranges across parts).
-        let mut indptr = vec![0usize; cols + 1];
-        let mut cursors = vec![0usize; parts * cols];
-        for c in 0..cols {
-            let mut pos = indptr[c];
-            for p in 0..parts {
-                cursors[p * cols + c] = pos;
-                pos += counts[p * cols + c] as usize;
-            }
-            indptr[c + 1] = pos;
+        let mut indptr = vec![0usize; self.cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
         }
-
-        // Parallel scatter into the pre-computed disjoint slots. Slot
-        // ranges are disjoint per (part, output row) by construction, so
-        // concurrent writes through the shared base pointers are sound —
-        // the contract `rayon::SendPtr` exists for.
-        let mut indices = vec![0u32; nnz];
-        let mut values = vec![0f32; nnz];
-        let idx_ptr = rayon::SendPtr::new(indices.as_mut_ptr());
-        let val_ptr = rayon::SendPtr::new(values.as_mut_ptr());
-        pool::par_indices(parts, work, |p| {
-            let mut cursor = cursors[p * cols..(p + 1) * cols].to_vec();
-            let lo = (p * rows_per_part).min(rows);
-            let hi = ((p + 1) * rows_per_part).min(rows);
-            for r in lo..hi {
-                for (c, v) in self.row_iter(r) {
-                    let slot = cursor[c as usize];
-                    unsafe {
-                        *idx_ptr.ptr().add(slot) = r as u32;
-                        *val_ptr.ptr().add(slot) = v;
-                    }
-                    cursor[c as usize] += 1;
-                }
+        for c in 0..self.cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut cursor = indptr[..self.cols].to_vec();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0f32; self.nnz()];
+        for r in 0..self.rows {
+            for (c, v) in self.row_iter(r) {
+                let slot = &mut cursor[c as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
             }
-        });
+        }
         Csr {
-            rows: cols,
-            cols: rows,
+            rows: self.cols,
+            cols: self.rows,
             indptr,
             indices,
             values,
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -392,7 +334,7 @@ impl Csr {
                 .spmm_gather(x);
         }
         let mut out = Dense::zeros(self.cols, f);
-        sell::spmm_transa_scatter(
+        spmm_kernels::spmm_transa_scatter(
             out.data_mut(),
             f,
             &self.indptr,
@@ -432,7 +374,7 @@ impl Csr {
             .saturating_mul(f);
         pool::par_rows_membound(out.data_mut(), f, work, |i0, block| {
             let sel = &rows[i0..i0 + block.len() / f.max(1)];
-            sell::spmm_rows_block(
+            spmm_kernels::spmm_rows_block(
                 block,
                 f,
                 sel,
@@ -456,9 +398,7 @@ impl Csr {
     ///
     /// # Panics
     /// Panics when shapes mismatch, or when `rows` is not strictly
-    /// ascending and in range — distinctness is what makes the parallel
-    /// scatter through the shared output pointer sound, and it is
-    /// validated up front.
+    /// ascending and in range — validated up front.
     pub fn spmm_rows_into(&self, x: &Dense, rows: &[u32], out: &mut Dense) {
         assert_eq!(self.cols, x.rows(), "spmm_rows_into shape mismatch");
         assert_eq!(out.rows(), self.rows, "spmm_rows_into output row mismatch");
@@ -480,23 +420,28 @@ impl Csr {
         // second scattered pass over `indptr` without touching results.
         let mean_nnz = self.values.len() / self.rows.max(1) + 1;
         let work = rows.len().saturating_mul(mean_nnz).saturating_mul(f);
-        // Chunk count derived *from* the rounded-up chunk size (not the
-        // other way around), so every `ci` starts inside `rows`: with
-        // `chunks = ceil(len / rows_per_chunk)`, `(chunks-1)·rows_per_chunk
-        // < len` for any non-divisible split.
-        let target_chunks = (pool::membound_threads() * 4).max(1);
-        let rows_per_chunk = rows.len().div_ceil(target_chunks);
-        let chunks = rows.len().div_ceil(rows_per_chunk);
-        let base = rayon::SendPtr::new(out.data_mut().as_mut_ptr());
-        pool::par_indices_membound(chunks, work, |ci| {
-            let lo = ci * rows_per_chunk;
-            let hi = (lo + rows_per_chunk).min(rows.len());
-            // Sound: `rows` is strictly ascending, so chunks write
-            // disjoint output rows through the shared base pointer.
-            sell::spmm_rows_into_chunk(
-                &base,
+        // Strictly ascending rows make each chunk's output rows one span,
+        // disjoint from and after the previous chunk's, so the spans are
+        // carved off the front of `out` in order.
+        let rows_per_chunk = rows.len().div_ceil(pool::membound_threads() * 4);
+        let mut rest = out.data_mut();
+        let mut rest_r0 = 0;
+        let spans: Vec<_> = rows
+            .chunks(rows_per_chunk)
+            .map(|sel| {
+                let (r0, r1) = (sel[0] as usize, sel[sel.len() - 1] as usize + 1);
+                let tail = std::mem::take(&mut rest).split_at_mut((r0 - rest_r0) * f).1;
+                let (span, tail) = tail.split_at_mut((r1 - r0) * f);
+                (rest, rest_r0) = (tail, r1);
+                (r0, sel, span)
+            })
+            .collect();
+        pool::par_blocks_membound(spans, work, |(r0, sel, span)| {
+            spmm_kernels::spmm_rows_into_span(
+                span,
                 f,
-                &rows[lo..hi],
+                r0,
+                sel,
                 &self.indptr,
                 &self.indices,
                 &self.values,
@@ -516,28 +461,8 @@ impl Csr {
         // sequence), so the arena's up-front zero fill is skipped.
         let mut out = Dense::scratch(self.rows, f);
         let work = self.nnz().saturating_mul(f);
-        if let Some(pack) = self.sell_pack(f) {
-            // SELL path: slabs of LANES rows in nnz-sorted order; every
-            // row lands in exactly one slab, and the slab assignment is a
-            // pure function of the matrix, so bits match the plain gather
-            // at any thread count.
-            let base = rayon::SendPtr::new(out.data_mut().as_mut_ptr());
-            pool::par_indices_membound(pack.n_slabs(), work, |sl| {
-                sell::sell_slab(
-                    pack,
-                    sl,
-                    &self.indptr,
-                    &self.indices,
-                    &self.values,
-                    x.data(),
-                    f,
-                    &base,
-                );
-            });
-            return out;
-        }
         pool::par_rows_membound(out.data_mut(), f, work, |r0, block| {
-            sell::spmm_block(
+            spmm_kernels::spmm_block(
                 block,
                 f,
                 r0,
@@ -548,37 +473,6 @@ impl Csr {
             );
         });
         out
-    }
-
-    /// The cached SELL pack when the matrix is big enough for it to pay:
-    /// the gate is a pure function of the matrix shape (never of thread
-    /// count or feature width beyond `f > 0`), so the execution layout —
-    /// and therefore every produced bit — is deterministic per matrix.
-    fn sell_pack(&self, f: usize) -> Option<&SellPack> {
-        if f == 0 || self.rows < 2 * simd::LANES || self.nnz() < sell::SELL_MIN_NNZ {
-            return None;
-        }
-        Some(
-            self.sell_cache.get_or_init(|| {
-                Arc::new(SellPack::build(&self.indptr, &self.indices, &self.values))
-            }),
-        )
-    }
-
-    /// True once the lazily-built SELL pack exists (tests observe cache
-    /// population and invalidation through this).
-    pub fn sell_packed(&self) -> bool {
-        self.sell_cache.get().is_some()
-    }
-
-    /// `(slabs, padding slots)` of the built SELL pack, or `None` while
-    /// the pack does not exist (matrix below the gate, or not yet used by
-    /// [`Csr::spmm`]). Padding slots are allocated-but-never-read slots of
-    /// short lanes — the layout's space overhead.
-    pub fn sell_stats(&self) -> Option<(usize, usize)> {
-        self.sell_cache
-            .get()
-            .map(|p| (p.n_slabs(), p.padded_entries()))
     }
 
     /// Weighted sum `Σ wᵢ · Aᵢ` of same-shaped sparse matrices.
@@ -635,7 +529,6 @@ impl Csr {
             indices,
             values,
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 
@@ -656,7 +549,6 @@ impl Csr {
             indices: self.indices[lo..hi].to_vec(),
             values: self.values[lo..hi].to_vec(),
             transpose_cache: OnceLock::new(),
-            sell_cache: OnceLock::new(),
         }
     }
 

@@ -3,6 +3,8 @@
 //!
 //! See `README.md` for the crate map and `ROADMAP.md` for direction.
 
+#![forbid(unsafe_code)]
+
 pub use dgnn_autograd as autograd;
 pub use dgnn_core as core;
 pub use dgnn_graph as graph;

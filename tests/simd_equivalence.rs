@@ -1,14 +1,14 @@
-//! SIMD-pass equivalence suite: the vectorized kernels (PR 9) against the
-//! no-skip serial references, IEEE specials included, plus the SELL pack's
-//! cache discipline and in-process SIMD-vs-scalar parity.
+//! SIMD-pass equivalence suite: the vectorized kernels against the
+//! no-skip serial references, IEEE specials included, plus the cached
+//! transpose's invalidation and in-process SIMD-vs-scalar parity.
 //!
 //! Conventions follow `parallel_equivalence.rs`: kernels are compared to
 //! an *independent* reference modulo NaN payloads (two differently
 //! compiled loops may legally keep different payloads when two NaNs
 //! combine), and to *themselves* strictly bitwise across thread counts
-//! whenever the executed code path is thread-count invariant. `spmm`'s
-//! SELL gate is a pure function of the matrix, so `spmm` is held to
-//! strict bits at every thread count even on specials; `spmm_transa`
+//! whenever the executed code path is thread-count invariant. `spmm` runs
+//! one row gather at every thread count, so it is held to strict bits
+//! even on specials; `spmm_transa`
 //! switches algorithms (serial scatter vs transpose-then-gather) with the
 //! thread count, so on specials it gets payload latitude per thread count
 //! instead.
@@ -138,10 +138,11 @@ fn specials_stream(seed: u64) -> impl FnMut() -> f32 {
     }
 }
 
-/// A matrix big enough to clear the SELL gate (rows ≥ 2·LANES,
-/// nnz ≥ 2048): 500 vertices, 6000 distinct edges (the `499`/`500`
-/// moduli are coprime-ish so no pair repeats within 6000).
-fn sell_sized_csr() -> Csr {
+/// A matrix big enough for the row gather to engage the pool from
+/// `f = 22` (nnz·f ≥ `PAR_MIN_MEMBOUND_WORK`): 500 vertices, 6000
+/// distinct edges (the `499`/`500` moduli are coprime-ish so no pair
+/// repeats within 6000).
+fn pool_sized_csr() -> Csr {
     let edges: Vec<(u32, u32)> = (0..6000u32).map(|i| (i % 499, (i * 37) % 500)).collect();
     Csr::from_edges(500, &edges)
 }
@@ -227,9 +228,8 @@ fn gemm_column_tails_bitwise_equal_for_all_three_products() {
 }
 
 #[test]
-fn spmm_remainder_lanes_bitwise_equal_with_sell_engaged() {
-    let a = sell_sized_csr();
-    assert!(!a.sell_packed(), "pack must be lazy");
+fn spmm_remainder_lanes_bitwise_equal() {
+    let a = pool_sized_csr();
     for f in [
         1usize, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 96,
     ] {
@@ -260,10 +260,6 @@ fn spmm_remainder_lanes_bitwise_equal_with_sell_engaged() {
             }
         }
     }
-    assert!(a.sell_packed(), "engaged sizes must build the SELL pack");
-    let (slabs, padded) = a.sell_stats().unwrap();
-    assert_eq!(slabs, 500usize.div_ceil(8));
-    assert!(padded < a.nnz(), "padding stays bounded on mild skew");
 }
 
 // ---- IEEE specials through the SIMD path --------------------------------
@@ -311,14 +307,12 @@ proptest! {
 }
 
 #[test]
-fn sell_path_specials_bitwise_stable() {
-    // Specials at SELL-engaged size, exercising both walkers: narrow f
-    // (lockstep panels, where reading a padded slot would corrupt bits —
-    // -0.0 + +0.0 flips sign, padded x gathers could inject NaN) and wide
-    // f (per-lane register-chunk gather). Holds the override lock for the
-    // same reason as the proptest above.
+fn spmm_specials_bitwise_stable_at_engaged_size() {
+    // Specials at a size where the wider widths engage the pool, through
+    // every vector chunk width of the row gather. Holds the override lock
+    // for the same reason as the proptest above.
     let _lock = SIMD_OVERRIDE_LOCK.lock().unwrap();
-    let mut a = sell_sized_csr();
+    let mut a = pool_sized_csr();
     let mut val = specials_stream(31);
     for v in a.values_mut() {
         *v = val();
@@ -331,48 +325,47 @@ fn sell_path_specials_bitwise_stable() {
         };
         assert!(
             bits_eq_mod_nan_payload(&serial, &ref_spmm(&a, &x)),
-            "SELL spmm f={f} diverges from the no-skip reference beyond NaN payloads"
+            "spmm f={f} diverges from the no-skip reference beyond NaN payloads"
         );
-        assert_all_threads_match(&format!("SELL spmm/specials f={f}"), &serial, || a.spmm(&x));
+        assert_all_threads_match(&format!("spmm/specials f={f}"), &serial, || a.spmm(&x));
     }
-    assert!(a.sell_packed());
 }
 
 #[test]
-fn sell_pack_invalidated_by_value_mutation() {
-    let mut a = sell_sized_csr();
-    let x = Dense::from_fn(a.cols(), 16, |r, c| ((r + 3 * c) % 13) as f32 - 6.0);
-    let first = a.spmm(&x);
-    assert!(a.sell_packed());
+fn transpose_cache_invalidated_by_value_mutation() {
+    // Two threads at f = 96 clear the transpose-path break-even of
+    // `spmm_transa` (on a multi-core host), so the first call caches the
+    // transpose; `values_mut` must drop it, or the next product would
+    // gather over the stale values.
+    let _g = pool::scoped_threads(Some(2));
+    let mut a = pool_sized_csr();
+    let x = Dense::from_fn(a.rows(), 96, |r, c| ((r + 3 * c) % 13) as f32 - 6.0);
+    let first = a.spmm_transa(&x);
     for v in a.values_mut() {
         *v *= 3.0;
     }
-    assert!(!a.sell_packed(), "values_mut must drop the SELL pack");
-    let tripled = a.spmm(&x);
-    assert!(a.sell_packed(), "next spmm rebuilds the pack");
-    // Rebuilt-pack result must be the tripled aggregation, not the stale
-    // panels (every entry is 1.0 → 3.0; f32 triples exactly for these).
-    assert!(bits_eq(&tripled, &ref_spmm(&a, &x)));
+    let tripled = a.spmm_transa(&x);
+    // Every entry is 1.0 → 3.0, exact in f32: the product must be the
+    // no-skip reference over the new values, bit for bit.
+    assert!(bits_eq(&tripled, &ref_spmm_transa(&a, &x)));
     assert!(!bits_eq(&first, &tripled));
 }
 
 #[test]
-fn sell_slab_remainder_rows_covered() {
-    // Row counts not divisible by the slab width (8): the last slab runs
-    // with a short lane set; every row must still be produced exactly once.
-    // Wide (rows × 256) shapes push nnz past the SELL gate despite the
-    // small row counts (13 is invertible mod 256, so no pair repeats
-    // before lcm(rows, 256) ≥ 4352 — every triplet is distinct).
+fn spmm_odd_row_counts_covered() {
+    // Row counts not divisible by the lane width (8) or the pool's block
+    // split: every row must still be produced exactly once. Wide
+    // (rows × 256) shapes give many entries per row despite the small row
+    // counts (13 is invertible mod 256, so no pair repeats before
+    // lcm(rows, 256) ≥ 4352 — every triplet is distinct).
     for rows in [17usize, 23, 31, 33] {
         let triplets: Vec<(u32, u32, f32)> = (0..4352u32)
             .map(|i| (i % rows as u32, (i * 13) % 256, 1.0 + (i % 5) as f32 * 0.25))
             .collect();
         let a = Csr::from_coo(rows, 256, &triplets);
-        assert!(a.nnz() >= 2048, "graph must clear the SELL gate");
         let x = Dense::from_fn(a.cols(), 24, |r, c| ((r * 7 + c) % 11) as f32 - 5.0);
         let reference = ref_spmm(&a, &x);
         assert_all_threads_match(&format!("spmm rows={rows}"), &reference, || a.spmm(&x));
-        assert!(a.sell_packed(), "rows={rows} must engage SELL");
     }
 }
 
@@ -386,7 +379,7 @@ fn simd_and_scalar_compiles_agree() {
     let mut rng = StdRng::seed_from_u64(77);
     let a = Dense::from_fn(61, 45, |_, _| rng.gen_range(-2.0f32..2.0));
     let b = Dense::from_fn(45, 52, |_, _| rng.gen_range(-2.0f32..2.0));
-    let csr = sell_sized_csr();
+    let csr = pool_sized_csr();
     let x = Dense::from_fn(csr.cols(), 33, |_, _| rng.gen_range(-2.0f32..2.0));
     let xt = Dense::from_fn(csr.rows(), 33, |_, _| rng.gen_range(-2.0f32..2.0));
 
