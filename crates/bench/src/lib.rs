@@ -47,13 +47,13 @@ pub fn gib(bytes: u64) -> String {
 /// The smoothing each model applies to a dataset, with windows calibrated
 /// against Table 1.
 pub fn smoothing_for(
-    kind: dgnn_sim::ModelKind,
+    kind: dgnn_graph::ModelKind,
     spec: &dgnn_graph::DatasetSpec,
 ) -> dgnn_graph::Smoothing {
-    use dgnn_graph::Smoothing;
+    use dgnn_graph::{ModelKind, Smoothing};
     match kind {
-        dgnn_sim::ModelKind::CdGcn => Smoothing::None,
-        dgnn_sim::ModelKind::EvolveGcn => Smoothing::EdgeLife(spec.calibrated_edge_life()),
-        dgnn_sim::ModelKind::TmGcn => Smoothing::MProduct(spec.calibrated_mproduct_window()),
+        ModelKind::CdGcn => Smoothing::None,
+        ModelKind::EvolveGcn => Smoothing::EdgeLife(spec.calibrated_edge_life()),
+        ModelKind::TmGcn => Smoothing::MProduct(spec.calibrated_mproduct_window()),
     }
 }

@@ -2,17 +2,14 @@
 //! (`dgnn_graph::preagg`, the ReInc-style incremental `Ã_t·X_t` build).
 //!
 //! For each churn rate the sweep builds the same unsmoothed (CD-GCN
-//! layout) pre-aggregation timeline three ways — from scratch, carried
-//! forward with the diff-derived touched-vertex journal, and carried
-//! forward with the exact bitwise dirty-row scan — checks all three are
+//! layout) pre-aggregation timeline two ways — from scratch, and carried
+//! forward with the diff-derived touched-vertex journal — checks both are
 //! bit-identical, and prints their build times, the share of rows the
 //! journal path recomputed, and one training epoch per rate for context
 //! (the build runs once per prepared task; the epochs are what it
 //! amortizes against). Print-only: no timing is asserted. The
 //! rows-recomputed bound at low churn is a deterministic property of the
 //! seeded timeline and is pinned in `tests/preagg_reuse_equivalence.rs`.
-//! The scan fallback pays an `O(nnz + n·F)` comparison pass; its job is
-//! correctness on smoothed timelines, not speed.
 
 use std::time::Instant;
 
@@ -32,7 +29,6 @@ pub const RATES: [f64; 6] = [0.01, 0.02, 0.05, 0.10, 0.20, 0.50];
 struct RateResult {
     scratch_ms: f64,
     journal_ms: f64,
-    scan_ms: f64,
     epoch_ms: f64,
     recomputed_fraction: f64,
 }
@@ -40,10 +36,6 @@ struct RateResult {
 impl RateResult {
     fn journal_speedup(&self) -> f64 {
         self.scratch_ms / self.journal_ms
-    }
-
-    fn scan_speedup(&self) -> f64 {
-        self.scratch_ms / self.scan_ms
     }
 }
 
@@ -87,21 +79,15 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize) -> RateResul
         })
         .collect();
 
-    // The three builds are timed single-threaded: the speedup under test
+    // The two builds are timed single-threaded: the speedup under test
     // is the algorithmic work saved per timestep (rows carried vs rows
     // re-gathered), which thread count does not change — the outputs are
     // bit-identical at any width — but parallel scheduling noise would
     // blur the ratio from host to host.
     let serial = dgnn_tensor::pool::scoped_threads(Some(1));
-    let (scratch_ms, scratch) = best_of(reps, || {
-        laps.iter()
-            .zip(&xs)
-            .map(|(a, x)| a.spmm(x))
-            .collect::<Vec<Dense>>()
-    });
+    let (scratch_ms, (scratch, _)) = best_of(reps, || incremental_preagg(&laps, &xs, None));
     let (journal_ms, (journaled, stats)) =
         best_of(reps, || incremental_preagg(&laps, &xs, Some(&journal)));
-    let (scan_ms, (scanned, _)) = best_of(reps, || incremental_preagg(&laps, &xs, None));
     drop(serial);
 
     assert_eq!(
@@ -109,7 +95,6 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize) -> RateResul
         bits(&journaled),
         "journal path changed bits"
     );
-    assert_eq!(bits(&scratch), bits(&scanned), "scan path changed bits");
 
     let epoch_ms = {
         let cfg = ModelConfig {
@@ -139,7 +124,6 @@ fn sweep_rate(n: usize, t: usize, m: usize, rate: f64, reps: usize) -> RateResul
     RateResult {
         scratch_ms,
         journal_ms,
-        scan_ms,
         epoch_ms,
         recomputed_fraction: stats.recomputed_fraction(),
     }
@@ -165,14 +149,12 @@ pub fn run(fast: bool) {
         let r = sweep_rate(n, t, m, rate, reps);
         println!(
             "churn {:>4.0}% : scratch {:>8} | journal {:>8} ({:>4.1}x, {:>4.1}% rows recomputed) \
-             | scan {:>8} ({:>4.1}x) | epoch {}",
+             | epoch {}",
             rate * 100.0,
             ms(r.scratch_ms),
             ms(r.journal_ms),
             r.journal_speedup(),
             r.recomputed_fraction * 100.0,
-            ms(r.scan_ms),
-            r.scan_speedup(),
             ms(r.epoch_ms),
         );
     }

@@ -149,10 +149,9 @@ pub fn train_streaming(
         // history for raw-graph (unsmoothed) configs: only rows touched
         // by each transition are recomputed. Smoothed configs (§5.4)
         // re-mix *every* history snapshot as the window slides, so
-        // `prepare_task_journaled` falls back to its exact bitwise scan
-        // there; either path produces the same bits as a from-scratch
-        // build. The journal for the training slice excludes the final
-        // transition (into the held-out snapshot).
+        // `prepare_task_journaled` builds them from scratch; either path
+        // produces the same bits. The journal for the training slice
+        // excludes the final transition (into the held-out snapshot).
         let journal: Vec<Vec<u32>> = transitions.iter().take(t - 1).cloned().collect();
         let task = prepare_task_journaled(&train_graph, &next, &cfg, &opts.task, Some(&journal));
 

@@ -49,12 +49,6 @@ pub struct TaskOptions {
     pub theta: f64,
     /// Enable the first-layer `Ã·X` pre-computation.
     pub precompute_first_layer: bool,
-    /// Build the pre-aggregation incrementally across snapshots
-    /// ([`dgnn_graph::preagg`]): each timestep's block starts as a copy
-    /// of its predecessor and only the dirty rows are recomputed.
-    /// Bit-identical to the from-scratch build either way; turning it
-    /// off only changes how the same bits are produced.
-    pub reuse_preagg: bool,
     /// Sampling seed.
     pub seed: u64,
 }
@@ -64,7 +58,6 @@ impl Default for TaskOptions {
         Self {
             theta: 0.1,
             precompute_first_layer: true,
-            reuse_preagg: true,
             seed: 17,
         }
     }
@@ -92,10 +85,12 @@ pub fn prepare_task(
 /// weight) changed between raw snapshots `t-1` and `t` — what
 /// `DeltaBatcher::touched_vertices` emits per window. When the model
 /// applies no smoothing the journal bounds the dirty pre-aggregation
-/// rows directly (the Eq. (1) Laplacian is structurally symmetric and
-/// degree features are per-vertex), so the incremental build skips even
-/// the fallback scan; smoothed configs mix raw frames across time, so
-/// the journal is ignored there and the exact bitwise scan decides.
+/// rows (the Eq. (1) Laplacian is structurally symmetric and degree
+/// features are per-vertex), so each block is carried forward from its
+/// predecessor with only those rows recomputed. Smoothed configs mix raw
+/// frames across time, so the journal is ignored there and, as without a
+/// journal, every block is built from scratch. The bits are the same
+/// either way.
 pub fn prepare_task_journaled(
     raw: &DynamicGraph,
     next: &Snapshot,
@@ -116,17 +111,10 @@ pub fn prepare_task_journaled(
 
     let mut preagg_reuse = ReuseStats::default();
     let preagg = opts.precompute_first_layer.then(|| {
-        if opts.reuse_preagg {
-            let journal = journal.filter(|_| matches!(smoothing, Smoothing::None));
-            let (blocks, stats) = incremental_preagg(&laps, &features, journal);
-            preagg_reuse = stats;
-            blocks
-        } else {
-            laps.iter()
-                .zip(&features)
-                .map(|(a, x)| a.spmm(x))
-                .collect::<Vec<Dense>>()
-        }
+        let journal = journal.filter(|_| matches!(smoothing, Smoothing::None));
+        let (blocks, stats) = incremental_preagg(&laps, &features, journal);
+        preagg_reuse = stats;
+        blocks
     });
 
     let data = build_linkpred(raw, next, opts.theta, opts.seed);
@@ -157,6 +145,7 @@ pub fn prepare_task_holdout(g: &DynamicGraph, cfg: &ModelConfig, opts: &TaskOpti
 mod tests {
     use super::*;
     use dgnn_graph::gen::churn;
+    use dgnn_graph::preagg::journal_from_diff;
     use dgnn_models::ModelKind;
 
     #[test]
@@ -201,54 +190,79 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn reuse_knob_is_bit_identical_for_every_model() {
-        let g = churn(120, 5, 300, 0.1, 6);
-        for kind in [ModelKind::CdGcn, ModelKind::EvolveGcn, ModelKind::TmGcn] {
-            let cfg = ModelConfig::paper_defaults(kind);
-            let on = prepare_task_holdout(&g, &cfg, &TaskOptions::default());
-            let off = prepare_task_holdout(
-                &g,
-                &cfg,
-                &TaskOptions {
-                    reuse_preagg: false,
-                    ..TaskOptions::default()
-                },
-            );
-            assert_eq!(preagg_bits(&on), preagg_bits(&off), "kind = {kind:?}");
-            assert_eq!(off.preagg_reuse, ReuseStats::default());
-            assert_eq!(on.preagg_reuse.timesteps, on.t);
-        }
-    }
-
-    #[test]
-    fn journaled_preparation_is_bit_identical() {
-        use dgnn_graph::preagg::journal_from_diff;
-        let g = churn(300, 6, 450, 0.03, 8);
-        let train = g.time_slice(0, 5);
-        let next = g.snapshot(5).clone();
-        // churn snapshots are unweighted, so the structural-diff journal
-        // covers every raw change.
-        let journal: Vec<Vec<u32>> = (1..5)
+    /// The structural-diff journal of `g`'s first `t` snapshots (churn
+    /// snapshots are unweighted, so it covers every raw change).
+    fn diff_journal(g: &DynamicGraph, t: usize) -> Vec<Vec<u32>> {
+        (1..t)
             .map(|t| {
                 journal_from_diff(&dgnn_graph::diff(
                     g.snapshot(t - 1).adj(),
                     g.snapshot(t).adj(),
                 ))
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn journal_less_preparation_builds_every_timestep_from_scratch() {
+        let g = churn(120, 5, 300, 0.1, 6);
+        for kind in ModelKind::all() {
+            let cfg = ModelConfig::paper_defaults(kind);
+            let task = prepare_task_holdout(&g, &cfg, &TaskOptions::default());
+            let scratch: Vec<Vec<u32>> = (0..task.t)
+                .map(|t| {
+                    let block = task.laps[t].spmm(&task.features[t]);
+                    block.data().iter().map(|v| v.to_bits()).collect()
+                })
+                .collect();
+            assert_eq!(preagg_bits(&task), scratch, "kind = {kind:?}");
+            let r = task.preagg_reuse;
+            assert_eq!(
+                (r.timesteps, r.full_builds, r.incremental_builds),
+                (task.t, task.t, 0),
+                "kind = {kind:?}"
+            );
+        }
+    }
+
+    /// Supplying a journal is what switches preaggregate reuse on; for every
+    /// model kind the result must match the journal-less (reuse-off) build.
+    #[test]
+    fn reuse_knob_is_bit_identical_for_every_model() {
+        let g = churn(120, 5, 300, 0.1, 6);
+        let train = g.time_slice(0, 4);
+        let next = g.snapshot(4).clone();
+        let journal = diff_journal(&g, 4);
+        let opts = TaskOptions::default();
+        for kind in ModelKind::all() {
+            let cfg = ModelConfig::paper_defaults(kind);
+            let on = prepare_task_journaled(&train, &next, &cfg, &opts, Some(&journal));
+            let off = prepare_task(&train, &next, &cfg, &opts);
+            assert_eq!(preagg_bits(&on), preagg_bits(&off), "kind = {kind:?}");
+            assert_eq!(on.preagg_reuse.timesteps, on.t);
+            assert_eq!(off.preagg_reuse.incremental_builds, 0, "kind = {kind:?}");
+            // Only the unsmoothed config can use the raw journal: a
+            // smoothed one mixes raw frames across time, so it must ignore
+            // the journal and build from scratch.
+            if kind != ModelKind::CdGcn {
+                assert_eq!(on.preagg_reuse.incremental_builds, 0, "kind = {kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn journaled_preparation_is_bit_identical() {
+        let g = churn(300, 6, 450, 0.03, 8);
+        let train = g.time_slice(0, 5);
+        let next = g.snapshot(5).clone();
+        let journal = diff_journal(&g, 5);
         let cfg = ModelConfig::paper_defaults(ModelKind::CdGcn);
         let opts = TaskOptions::default();
         let journaled = prepare_task_journaled(&train, &next, &cfg, &opts, Some(&journal));
-        let scanned = prepare_task(&train, &next, &cfg, &opts);
-        assert_eq!(preagg_bits(&journaled), preagg_bits(&scanned));
+        let journal_less = prepare_task(&train, &next, &cfg, &opts);
+        assert_eq!(preagg_bits(&journaled), preagg_bits(&journal_less));
+        assert_eq!(journaled.preagg_reuse.timesteps, journaled.t);
         assert!(journaled.preagg_reuse.incremental_builds > 0);
-        // A smoothed config must ignore the raw journal (it would not
-        // bound the smoothed row changes) and still come out identical.
-        let smoothed_cfg = ModelConfig::paper_defaults(ModelKind::EvolveGcn);
-        let a = prepare_task_journaled(&train, &next, &smoothed_cfg, &opts, Some(&journal));
-        let b = prepare_task(&train, &next, &smoothed_cfg, &opts);
-        assert_eq!(preagg_bits(&a), preagg_bits(&b));
     }
 
     #[test]

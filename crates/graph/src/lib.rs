@@ -3,10 +3,12 @@
 //! Discrete-time dynamic graphs (DTDG) for the SC'21 reproduction:
 //! snapshot sequences, temporal generators (including churn-model stand-ins
 //! for the paper's datasets), the edge-life and M-transform smoothing of
-//! §5.4, the graph-difference transfer encoding of §3.2, incremental
-//! cross-snapshot pre-aggregation reuse ([`preagg`]), degree features,
-//! link-prediction sampling, exact/closed-form temporal statistics, and
-//! the snapshot byte codec ([`snapshot_io`]) the out-of-core store frames.
+//! §5.4, the graph-difference transfer encoding of §3.2, the dirty
+//! frontier of incremental recomputes ([`frontier`]) and the
+//! cross-snapshot pre-aggregation reuse built on it ([`preagg`]), degree
+//! features, link-prediction sampling, exact/closed-form temporal
+//! statistics, the [`ModelKind`] of the study, and the snapshot byte codec
+//! ([`snapshot_io`]) the out-of-core store frames.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -14,8 +16,10 @@
 pub mod datasets;
 pub mod diff;
 pub mod features;
+pub mod frontier;
 pub mod gen;
 pub mod linkpred;
+pub mod model_kind;
 pub mod preagg;
 pub mod smoothing;
 pub mod snapshot;
@@ -26,6 +30,7 @@ pub use datasets::DatasetSpec;
 pub use diff::{chunk_transfer, diff, naive_transfer_bytes, reconstruct, GraphDiff};
 pub use features::degree_features;
 pub use linkpred::{build_linkpred, EdgeSamples, LinkPredData};
+pub use model_kind::ModelKind;
 pub use preagg::{incremental_preagg, ReuseStats};
 pub use smoothing::{edge_life, m_transform_adj, m_transform_features};
 pub use snapshot::{DynamicGraph, Snapshot};

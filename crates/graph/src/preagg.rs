@@ -6,40 +6,32 @@
 //! the rows the snapshot transition actually touches. This module builds
 //! the whole pre-aggregation timeline by carrying each block forward:
 //! snapshot `t+1`'s block starts as a copy of `t`'s and only the *dirty*
-//! rows are recomputed in place with [`Csr::spmm_rows_into`].
+//! rows are recomputed, with [`Csr::spmm_rows`] scattered by
+//! `Dense::set_rows`.
 //!
 //! The result is **bit-identical** to building every block from scratch:
-//! untouched rows are byte-copied, and `spmm_rows_into` runs the same
-//! serial per-row gather as the full [`Csr::spmm`] (pinned by the tensor
-//! crate's own equivalence tests), so no row ever sees a different
-//! accumulation order.
+//! untouched rows are byte-copied, and `spmm_rows` runs the same serial
+//! per-row gather as the full [`Csr::spmm`] (pinned by the tensor crate's
+//! own equivalence tests), so no row ever sees a different accumulation
+//! order.
 //!
-//! Dirty rows come from one of two places:
-//!
-//! * **A touched-vertex journal** (`DeltaBatcher::touched_vertices`, or
-//!   the endpoints of a [`crate::diff::GraphDiff`]): the dirty set is the
-//!   expansion `T ∪ N(T)` under the next operator. This is sound only
-//!   when the journal covers every vertex whose incident edges (structure
-//!   *or* weight) changed between the underlying snapshots, the features
-//!   are per-vertex functions of the journaled changes (degree features
-//!   are), and the operator is **structurally symmetric** — the Eq. (1)
-//!   normalized Laplacian is, being built from `0.5·(A+Aᵀ)+I`.
-//! * **An exact bitwise scan** ([`dirty_rows_scan`]) when no journal
-//!   exists — the `dgnn_graph::diff` linear row-merge idiom extended with
-//!   value-bit and feature-row comparison. It makes no symmetry or
-//!   provenance assumptions and therefore also covers smoothed timelines
-//!   (edge-life, M-transform), where a raw-transition journal does not
-//!   bound the smoothed row changes.
+//! The dirty rows come from a **touched-vertex journal**
+//! (`DeltaBatcher::touched_vertices`, or the endpoints of a
+//! [`crate::diff::GraphDiff`]): the dirty set is the one-hop expansion
+//! `T ∪ N(T)` under the next operator ([`frontier::expand`]). This is
+//! sound only when the journal covers every vertex whose incident edges
+//! (structure *or* weight) changed between the underlying snapshots, the
+//! features are per-vertex functions of the journaled changes (degree
+//! features are), and the operator is **structurally symmetric** — the
+//! Eq. (1) normalized Laplacian is, being built from `0.5·(A+Aᵀ)+I`. A
+//! timeline without a sound journal (a smoothed one: edge-life and the
+//! M-transform mix raw frames across time) is built from scratch, as is
+//! any timestep whose frontier crosses [`frontier::recompute_all`].
 
 use dgnn_tensor::{Csr, Dense};
 
 use crate::diff::GraphDiff;
-
-/// Dirty fraction (percent of rows) above which a timestep degrades to a
-/// from-scratch [`Csr::spmm`]: past this point the copy + scatter overhead
-/// outweighs the rows saved, and the full kernel parallelizes better. The
-/// output is bit-identical on either side of the threshold.
-pub const DEGRADE_PERCENT: usize = 75;
+use crate::frontier;
 
 /// How a pre-aggregation timeline was built — returned by
 /// [`incremental_preagg`] for telemetry and benches.
@@ -47,8 +39,9 @@ pub const DEGRADE_PERCENT: usize = 75;
 pub struct ReuseStats {
     /// Timesteps in the timeline.
     pub timesteps: usize,
-    /// Timesteps built from scratch (the first one, plus any that crossed
-    /// [`DEGRADE_PERCENT`]).
+    /// Timesteps built from scratch: every one without a journal, else the
+    /// first one plus any whose frontier crossed
+    /// [`frontier::recompute_all`].
     pub full_builds: usize,
     /// Timesteps built incrementally from their predecessor.
     pub incremental_builds: usize,
@@ -71,100 +64,6 @@ impl ReuseStats {
     }
 }
 
-fn lap_row_bits_equal(prev: &Csr, next: &Csr, r: usize) -> bool {
-    let (pp, pn) = (prev.indptr(), next.indptr());
-    let (ia, ib) = (
-        &prev.indices()[pp[r]..pp[r + 1]],
-        &next.indices()[pn[r]..pn[r + 1]],
-    );
-    if ia != ib {
-        return false;
-    }
-    let (va, vb) = (
-        &prev.values()[pp[r]..pp[r + 1]],
-        &next.values()[pn[r]..pn[r + 1]],
-    );
-    // Bit compare, not `==`: -0.0 vs 0.0 would compare equal but produce
-    // different output bits downstream.
-    va.iter().zip(vb).all(|(a, b)| a.to_bits() == b.to_bits())
-}
-
-/// The rows where `next_lap·next_x` can differ from `prev_lap·prev_x`,
-/// found by an exact bitwise scan: row `r` is dirty iff its operator row
-/// changed (indices or value bits) or any feature row it gathers from
-/// changed. `O(nnz + n·F)`, no assumptions about where the matrices came
-/// from. Returns sorted, deduplicated row indices.
-pub fn dirty_rows_scan(prev_lap: &Csr, next_lap: &Csr, prev_x: &Dense, next_x: &Dense) -> Vec<u32> {
-    let n = next_lap.rows();
-    assert_eq!(prev_lap.rows(), n, "operator shape mismatch");
-    assert_eq!(prev_lap.cols(), next_lap.cols(), "operator shape mismatch");
-    assert_eq!(prev_x.rows(), next_x.rows(), "feature shape mismatch");
-    assert_eq!(prev_x.cols(), next_x.cols(), "feature shape mismatch");
-    assert_eq!(next_lap.cols(), next_x.rows(), "operator/feature mismatch");
-    let x_dirty: Vec<bool> = (0..next_x.rows())
-        .map(|r| {
-            prev_x
-                .row(r)
-                .iter()
-                .zip(next_x.row(r))
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-        })
-        .collect();
-    (0..n)
-        .filter(|&r| {
-            !lap_row_bits_equal(prev_lap, next_lap, r)
-                || next_lap.row_iter(r).any(|(c, _)| x_dirty[c as usize])
-        })
-        .map(|r| r as u32)
-        .collect()
-}
-
-/// Expands a touched-vertex journal into the dirty pre-aggregation rows
-/// `T ∪ N(T)` under `next_lap`. See the module docs for the soundness
-/// contract (journal completeness, per-vertex features, structurally
-/// symmetric operator). Returns sorted, deduplicated row indices.
-///
-/// # Panics
-/// Panics when a journal vertex is out of range for `next_lap`.
-pub fn expand_journal(touched: &[u32], next_lap: &Csr) -> Vec<u32> {
-    let mut mask = vec![0u64; next_lap.rows().div_ceil(64)];
-    expand_journal_into(touched, next_lap, &mut mask)
-}
-
-/// [`expand_journal`] against a caller-owned scratch bitset (all-zero on
-/// entry, restored to all-zero on return), so a timeline build pays one
-/// mask allocation instead of one per transition. Marks `T ∪ N(T)` with
-/// branch-free bit-sets (indices only — the neighbor *values* are never
-/// loaded; the bitset is 64x smaller than the vertex set, so the random
-/// marks stay cache-resident), then collects the dirty rows with one
-/// word-skipping ascending sweep that also re-clears the mask — the
-/// result is sorted without a sort.
-fn expand_journal_into(touched: &[u32], next_lap: &Csr, mask: &mut [u64]) -> Vec<u32> {
-    let n = next_lap.rows();
-    assert_eq!(mask.len(), n.div_ceil(64), "mask/operator shape mismatch");
-    let (indptr, indices) = (next_lap.indptr(), next_lap.indices());
-    for &v in touched {
-        let vu = v as usize;
-        assert!(vu < n, "journal vertex {vu} out of range (n = {n})");
-        mask[vu >> 6] |= 1u64 << (vu & 63);
-        for &c in &indices[indptr[vu]..indptr[vu + 1]] {
-            mask[c as usize >> 6] |= 1u64 << (c & 63);
-        }
-    }
-    let mut out: Vec<u32> = Vec::with_capacity(touched.len() * 2);
-    for (wi, word) in mask.iter_mut().enumerate() {
-        let mut w = *word;
-        if w != 0 {
-            *word = 0;
-            while w != 0 {
-                out.push((wi * 64) as u32 + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
-    }
-    out
-}
-
 /// The touched-vertex journal implied by a structural [`GraphDiff`]: the
 /// endpoints of every inserted or dropped edge, sorted and deduplicated.
 ///
@@ -185,13 +84,13 @@ pub fn journal_from_diff(d: &GraphDiff) -> Vec<u32> {
     out
 }
 
-/// Builds the pre-aggregation timeline `out[t] = laps[t]·xs[t]`
-/// incrementally: each block starts as a copy of its predecessor and only
-/// the dirty rows are recomputed. `journal[t-1]`, when provided, is the
-/// touched-vertex set of the transition into timestep `t` (see the module
-/// docs for when a journal is sound); without a journal the exact
-/// [`dirty_rows_scan`] is used. Bit-identical to `laps[t].spmm(&xs[t])`
-/// at every timestep, thread count, and workspace setting.
+/// Builds the pre-aggregation timeline `out[t] = laps[t]·xs[t]`.
+/// `journal[t-1]`, when provided, is the touched-vertex set of the
+/// transition into timestep `t` (see the module docs for when a journal is
+/// sound): each block then starts as a copy of its predecessor and only
+/// the frontier rows are recomputed. Without a journal every block is
+/// built from scratch. Bit-identical to `laps[t].spmm(&xs[t])` at every
+/// timestep, thread count, and workspace setting.
 ///
 /// # Panics
 /// Panics on length mismatches between `laps`, `xs`, and `journal`.
@@ -201,43 +100,38 @@ pub fn incremental_preagg(
     journal: Option<&[Vec<u32>]>,
 ) -> (Vec<Dense>, ReuseStats) {
     assert_eq!(laps.len(), xs.len(), "operator/feature timeline mismatch");
-    if let Some(j) = journal {
-        assert_eq!(
-            j.len() + 1,
-            laps.len(),
-            "journal must cover every transition: {} entries for {} timesteps",
-            j.len(),
-            laps.len()
-        );
-    }
     let mut stats = ReuseStats {
         timesteps: laps.len(),
         ..ReuseStats::default()
     };
+    let Some(journal) = journal else {
+        stats.full_builds = laps.len();
+        return (laps.iter().zip(xs).map(|(a, x)| a.spmm(x)).collect(), stats);
+    };
+    assert_eq!(
+        journal.len() + 1,
+        laps.len(),
+        "journal must cover every transition: {} entries for {} timesteps",
+        journal.len(),
+        laps.len()
+    );
     let mut out: Vec<Dense> = Vec::with_capacity(laps.len());
-    let mut mask: Vec<u64> = Vec::new();
-    for t in 0..laps.len() {
-        if t == 0 {
-            out.push(laps[0].spmm(&xs[0]));
+    for (t, (lap, x)) in laps.iter().zip(xs).enumerate() {
+        let n = lap.rows();
+        let dirty = (t > 0)
+            .then(|| {
+                frontier::expand(&journal[t - 1], n, |u| {
+                    lap.row_iter(u as usize).map(|(c, _)| c)
+                })
+            })
+            .filter(|dirty| !frontier::recompute_all(dirty.len(), n));
+        let Some(dirty) = dirty else {
+            out.push(lap.spmm(x));
             stats.full_builds += 1;
             continue;
-        }
-        let n = laps[t].rows();
-        let dirty = match journal {
-            Some(j) => {
-                let words = n.div_ceil(64);
-                mask.resize(words, 0);
-                expand_journal_into(&j[t - 1], &laps[t], &mut mask[..words])
-            }
-            None => dirty_rows_scan(&laps[t - 1], &laps[t], &xs[t - 1], &xs[t]),
         };
-        if dirty.len() * 100 > n * DEGRADE_PERCENT {
-            out.push(laps[t].spmm(&xs[t]));
-            stats.full_builds += 1;
-            continue;
-        }
         let mut block = out[t - 1].clone();
-        laps[t].spmm_rows_into(&xs[t], &dirty, &mut block);
+        block.set_rows(&dirty, &lap.spmm_rows(x, &dirty));
         stats.incremental_builds += 1;
         stats.rows_recomputed += dirty.len() as u64;
         stats.rows_reused += (n - dirty.len()) as u64;
@@ -269,17 +163,60 @@ mod tests {
         laps.iter().zip(xs).map(|(a, x)| a.spmm(x)).collect()
     }
 
+    fn lap_row_bits_equal(prev: &Csr, next: &Csr, r: usize) -> bool {
+        let (pp, pn) = (prev.indptr(), next.indptr());
+        let (ia, ib) = (
+            &prev.indices()[pp[r]..pp[r + 1]],
+            &next.indices()[pn[r]..pn[r + 1]],
+        );
+        let (va, vb) = (
+            &prev.values()[pp[r]..pp[r + 1]],
+            &next.values()[pn[r]..pn[r + 1]],
+        );
+        // Bit compare, not `==`: -0.0 vs 0.0 would compare equal but
+        // produce different output bits downstream.
+        ia == ib && va.iter().zip(vb).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// The oracle the journal expansion is checked against: an exact
+    /// bitwise scan marking row `r` dirty iff its operator row changed
+    /// (indices or value bits) or any feature row it gathers from changed.
+    fn dirty_rows_scan(prev_lap: &Csr, next_lap: &Csr, prev_x: &Dense, next_x: &Dense) -> Vec<u32> {
+        let x_dirty: Vec<bool> = (0..next_x.rows())
+            .map(|r| {
+                prev_x
+                    .row(r)
+                    .iter()
+                    .zip(next_x.row(r))
+                    .any(|(a, b)| a.to_bits() != b.to_bits())
+            })
+            .collect();
+        (0..next_lap.rows())
+            .filter(|&r| {
+                !lap_row_bits_equal(prev_lap, next_lap, r)
+                    || next_lap.row_iter(r).any(|(c, _)| x_dirty[c as usize])
+            })
+            .map(|r| r as u32)
+            .collect()
+    }
+
     #[test]
-    fn scan_fallback_is_bit_identical_to_scratch() {
+    fn journal_less_timeline_is_built_from_scratch() {
         for rho in [0.02, 0.2, 0.6] {
             let (laps, xs) = task_like(80, 6, 300, rho, 5);
-            let (inc, stats) = incremental_preagg(&laps, &xs, None);
+            let (blocks, stats) = incremental_preagg(&laps, &xs, None);
             let full = scratch(&laps, &xs);
-            for (t, (a, b)) in inc.iter().zip(&full).enumerate() {
+            for (t, (a, b)) in blocks.iter().zip(&full).enumerate() {
                 assert_eq!(bits(a), bits(b), "rho = {rho}, t = {t}");
             }
-            assert_eq!(stats.timesteps, 6);
-            assert_eq!(stats.full_builds + stats.incremental_builds, 6);
+            assert_eq!(
+                stats,
+                ReuseStats {
+                    timesteps: 6,
+                    full_builds: 6,
+                    ..ReuseStats::default()
+                }
+            );
         }
     }
 
@@ -309,7 +246,9 @@ mod tests {
         let xs: Vec<Dense> = degree_features(&g).into_frames();
         for t in 1..g.t() {
             let journal = journal_from_diff(&diff(g.snapshot(t - 1).adj(), g.snapshot(t).adj()));
-            let expanded = expand_journal(&journal, &laps[t]);
+            let expanded = frontier::expand(&journal, laps[t].rows(), |u| {
+                laps[t].row_iter(u as usize).map(|(c, _)| c)
+            });
             let exact = dirty_rows_scan(&laps[t - 1], &laps[t], &xs[t - 1], &xs[t]);
             for r in &exact {
                 assert!(
@@ -327,7 +266,7 @@ mod tests {
         let laps = vec![s.laplacian(), s.laplacian()];
         let g2 = crate::snapshot::DynamicGraph::new(50, vec![s.clone(), s.clone()]);
         let xs: Vec<Dense> = degree_features(&g2).into_frames();
-        let (inc, stats) = incremental_preagg(&laps, &xs, None);
+        let (inc, stats) = incremental_preagg(&laps, &xs, Some(&[Vec::new()]));
         assert_eq!(bits(&inc[0]), bits(&inc[1]));
         assert_eq!(stats.rows_recomputed, 0);
         assert_eq!(stats.rows_reused, 50);
@@ -336,7 +275,7 @@ mod tests {
 
     #[test]
     fn full_rewrite_degrades_to_scratch_build() {
-        // A journal touching every vertex crosses DEGRADE_PERCENT.
+        // A journal touching every vertex crosses `frontier::recompute_all`.
         let (laps, xs) = task_like(40, 3, 150, 0.9, 11);
         let all: Vec<u32> = (0..40).collect();
         let journal = vec![all.clone(), all];

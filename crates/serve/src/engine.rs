@@ -26,7 +26,8 @@
 //!    whose inputs did not change — equal expressions over equal bits give
 //!    equal bits, at every thread count (the PR-2 determinism contract).
 //!
-//! A window wide enough that `F_0` covers half of the vertices skips the
+//! Both expansions are [`frontier::expand`], and a window whose `F_0`
+//! crosses [`frontier::recompute_all`] (half of the vertices) skips the
 //! frontier machinery and recomputes every row from the refreshed
 //! operator — leg 3 with "frontier" read as "all rows".
 //!
@@ -39,7 +40,7 @@
 //! event stream playing the role of `(A + Aᵀ)`.
 
 use dgnn_autograd::ParamStore;
-use dgnn_graph::GraphDiff;
+use dgnn_graph::{frontier, GraphDiff};
 use dgnn_models::{LinkPredHead, Model, ModelKind};
 use dgnn_stream::{DeltaBatcher, EdgeEvent, StreamingGraph};
 use dgnn_telemetry::trace;
@@ -400,9 +401,11 @@ impl InferenceSession {
 
         // Ã rows needing rebuild: touched vertices and their (new)
         // neighborhood — a dropped edge's partner is itself touched.
-        let dirty = self.expand_graph(&touched);
+        let graph = self.batcher.graph();
+        let mut dirty =
+            frontier::expand(&touched, self.n(), |u| graph.row(u).iter().map(|&(c, _)| c));
         self.refresh_lap_rows(&dirty);
-        if dirty.len() * 2 >= self.n() {
+        if frontier::recompute_all(dirty.len(), self.n()) {
             self.forward_all_rows();
             return AdvanceReport {
                 version: self.version,
@@ -412,21 +415,24 @@ impl InferenceSession {
             };
         }
 
-        // Per-layer frontier recompute over the cached activations.
-        let mut frontier = dirty;
+        // Per-layer frontier recompute over the cached activations: `dirty`
+        // holds `F_l`.
         let mut frontier_rows = Vec::with_capacity(self.model.layers());
         for l in 0..self.model.layers() {
-            frontier_rows.push(frontier.len());
+            frontier_rows.push(dirty.len());
             let input = if l == 0 {
                 &self.features
             } else {
                 &self.acts[l - 1]
             };
-            let agg = self.a_hat.spmm_rows(input, &frontier);
+            let agg = self.a_hat.spmm_rows(input, &dirty);
             let rows = self.model.layers[l].forward_rows(&agg);
-            self.acts[l].set_rows(&frontier, &rows);
+            self.acts[l].set_rows(&dirty, &rows);
             if l + 1 < self.model.layers() {
-                frontier = self.expand_operator(&frontier);
+                let a_hat = &self.a_hat;
+                dirty = frontier::expand(&dirty, self.n(), |u| {
+                    a_hat.row_iter(u as usize).map(|(c, _)| c)
+                });
             }
         }
 
@@ -538,31 +544,6 @@ impl InferenceSession {
                 None => self.acts.push(out),
             }
         }
-    }
-
-    /// `rows ∪ N(rows)` over the live graph's rows (sorted, deduplicated).
-    fn expand_graph(&self, rows: &[u32]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::with_capacity(rows.len() * 4);
-        for &u in rows {
-            out.push(u);
-            out.extend(self.batcher.graph().row(u).iter().map(|&(c, _)| c));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// `rows ∪ N(rows)` over the current operator's structure (sorted,
-    /// deduplicated) — the per-layer frontier expansion.
-    fn expand_operator(&self, rows: &[u32]) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::with_capacity(rows.len() * 4);
-        for &u in rows {
-            // The operator's row includes the self-loop, covering `u`.
-            out.extend(self.a_hat.row_iter(u as usize).map(|(c, _)| c));
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Refreshes the operator's `dirty` rows (sorted ascending) from the

@@ -10,45 +10,12 @@
 //! against the functional trainer by an integration test.
 
 use dgnn_graph::stats::TemporalStats;
+pub use dgnn_graph::ModelKind;
 use dgnn_partition::snapshot_part::SnapshotPartition;
 
 use crate::collective::{all_reduce_us, all_to_all_us, irregular_exchange_us};
 use crate::machine::MachineSpec;
 use crate::memory::{coo_bytes, dense_bytes};
-
-/// The three dynamic-GNN architectures of the study (paper §5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Concatenate-Dynamic GCN: GCN with skip concat + feature LSTM.
-    CdGcn,
-    /// EvolveGCN (EGCN-O): per-timestep weights evolved by an LSTM.
-    EvolveGcn,
-    /// TM-GCN: GCN + parameter-less M-product temporal aggregation.
-    TmGcn,
-}
-
-impl ModelKind {
-    /// Display name matching the paper's plots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::CdGcn => "cdgcn",
-            ModelKind::EvolveGcn => "egcn",
-            ModelKind::TmGcn => "tmgcn",
-        }
-    }
-
-    /// Whether the temporal component needs the two all-to-all
-    /// redistributions (EvolveGCN applies its LSTM to replicated weight
-    /// matrices and is communication-free, paper §5.5).
-    pub fn uses_redistribution(&self) -> bool {
-        !matches!(self, ModelKind::EvolveGcn)
-    }
-
-    /// All three models.
-    pub fn all() -> [ModelKind; 3] {
-        [ModelKind::CdGcn, ModelKind::EvolveGcn, ModelKind::TmGcn]
-    }
-}
 
 /// Distribution scheme being simulated.
 #[derive(Clone, Debug)]

@@ -45,10 +45,10 @@
 //! Workers are spawned once and parked on a condvar between jobs, so a
 //! kernel-sized dispatch costs two lock round-trips rather than thread
 //! spawns. Every dispatch hands out blocks the caller pre-split with
-//! `chunks_mut` / `split_at_mut`: workers *claim* block indices from a
-//! shared atomic counter, so load balances dynamically, and a claimed
-//! index takes its block out of its own slot, so exclusive access is
-//! checked by the borrow checker rather than promised by the kernel.
+//! `chunks_mut`: workers *claim* block indices from a shared atomic
+//! counter, so load balances dynamically, and a claimed index takes its
+//! block out of its own slot, so exclusive access is checked by the
+//! borrow checker rather than promised by the kernel.
 //! Nested dispatch (from a worker, or from the submitting thread while it
 //! participates) runs inline on the calling thread.
 
@@ -562,23 +562,6 @@ pub fn par_rows_zip<T: Send, const K: usize>(
     run_blocks(blocks, |ci, block| f(ci * rows_per_chunk, block));
 }
 
-/// Runs `f(block)` for every pre-split block of a memory-bound kernel —
-/// for outputs whose disjoint pieces are not one regular row split (e.g.
-/// the spans of a row-subset scatter, carved with `split_at_mut`). Engages
-/// under [`rows_parallel_membound`] with one row per block; serially, in
-/// order, otherwise.
-pub(crate) fn par_blocks_membound<B: Send>(
-    blocks: Vec<B>,
-    total_work: usize,
-    f: impl Fn(B) + Sync,
-) {
-    if !rows_parallel_membound(blocks.len(), total_work) {
-        blocks.into_iter().for_each(f);
-        return;
-    }
-    run_blocks(blocks, |_, block| f(block));
-}
-
 /// Element-partitioned parallel execution: `f(start_index, chunk)` over
 /// disjoint contiguous chunks of `data`. Serial below [`PAR_MIN_ELEMS`].
 pub fn par_elems<T: Send>(data: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
@@ -737,24 +720,6 @@ mod tests {
             .chunks(4)
             .enumerate()
             .all(|(r, row)| row == [r as u32; 4]));
-    }
-
-    #[test]
-    fn par_blocks_membound_runs_every_block_once() {
-        for threads in [1, 2, 5] {
-            let _g = scoped_threads(Some(threads));
-            let mut data = [0u32; 50];
-            let (head, tail) = data.split_at_mut(17);
-            let (mid, tail) = tail.split_at_mut(3);
-            par_blocks_membound(
-                vec![(1, head), (2, mid), (3, tail)],
-                usize::MAX,
-                |(v, b)| b.iter_mut().for_each(|x| *x += v),
-            );
-            assert!(data[..17].iter().all(|&v| v == 1));
-            assert!(data[17..20].iter().all(|&v| v == 2));
-            assert!(data[20..].iter().all(|&v| v == 3));
-        }
     }
 
     #[test]

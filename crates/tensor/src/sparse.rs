@@ -349,9 +349,9 @@ impl Csr {
     /// `out[i] = (self * x)[rows[i]]`. The inner loop per output row is the
     /// same serial gather [`Csr::spmm`] runs, so every produced row is
     /// bit-identical to the corresponding row of the full product at any
-    /// thread count — the kernel behind frontier-restricted incremental
-    /// inference, where only the rows reachable from a graph change are
-    /// recomputed.
+    /// thread count — the kernel behind every frontier-restricted
+    /// recompute (incremental inference and the pre-aggregation carry),
+    /// where only the rows reachable from a graph change are recomputed.
     ///
     /// # Panics
     /// Panics when `x` does not have `self.cols` rows, or when any entry of
@@ -385,69 +385,6 @@ impl Csr {
             );
         });
         out
-    }
-
-    /// Sparse × dense product computed *in place* for a subset of output
-    /// rows: `out[r] = (self * x)[r]` for every `r` in `rows`, all other
-    /// rows of `out` left untouched — the fusion of [`Csr::spmm_rows`]
-    /// with `Dense::set_rows` that the incremental pre-aggregation carry
-    /// runs, skipping the intermediate block and its scatter copy. Each
-    /// selected row is zeroed and then accumulated by the same serial
-    /// gather as [`Csr::spmm`], so the written rows are bit-identical to
-    /// the corresponding rows of the full product at any thread count.
-    ///
-    /// # Panics
-    /// Panics when shapes mismatch, or when `rows` is not strictly
-    /// ascending and in range — validated up front.
-    pub fn spmm_rows_into(&self, x: &Dense, rows: &[u32], out: &mut Dense) {
-        assert_eq!(self.cols, x.rows(), "spmm_rows_into shape mismatch");
-        assert_eq!(out.rows(), self.rows, "spmm_rows_into output row mismatch");
-        assert_eq!(out.cols(), x.cols(), "spmm_rows_into output width mismatch");
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "spmm_rows_into rows must be strictly ascending"
-        );
-        let Some(&last) = rows.last() else {
-            return;
-        };
-        assert!(
-            (last as usize) < self.rows,
-            "spmm_rows_into row index out of range"
-        );
-        let f = x.cols();
-        // Work *estimate* (selected rows at the matrix's mean density):
-        // it only gates whether the pool engages, so an estimate avoids a
-        // second scattered pass over `indptr` without touching results.
-        let mean_nnz = self.values.len() / self.rows.max(1) + 1;
-        let work = rows.len().saturating_mul(mean_nnz).saturating_mul(f);
-        // Strictly ascending rows make each chunk's output rows one span,
-        // disjoint from and after the previous chunk's, so the spans are
-        // carved off the front of `out` in order.
-        let rows_per_chunk = rows.len().div_ceil(pool::membound_threads() * 4);
-        let mut rest = out.data_mut();
-        let mut rest_r0 = 0;
-        let spans: Vec<_> = rows
-            .chunks(rows_per_chunk)
-            .map(|sel| {
-                let (r0, r1) = (sel[0] as usize, sel[sel.len() - 1] as usize + 1);
-                let tail = std::mem::take(&mut rest).split_at_mut((r0 - rest_r0) * f).1;
-                let (span, tail) = tail.split_at_mut((r1 - r0) * f);
-                (rest, rest_r0) = (tail, r1);
-                (r0, sel, span)
-            })
-            .collect();
-        pool::par_blocks_membound(spans, work, |(r0, sel, span)| {
-            spmm_kernels::spmm_rows_into_span(
-                span,
-                f,
-                r0,
-                sel,
-                &self.indptr,
-                &self.indices,
-                &self.values,
-                x.data(),
-            );
-        });
     }
 
     /// The row-parallel gather shared by [`Csr::spmm`]'s inner loop and the
@@ -772,98 +709,6 @@ mod tests {
             }
             assert_eq!(a.spmm_rows(&x, &[]).shape(), (0, 7));
         }
-    }
-
-    #[test]
-    fn spmm_rows_into_overwrites_selected_rows_bitwise() {
-        let edges: Vec<(u32, u32)> = (0..600u32).map(|i| (i % 37, (i * 11) % 41)).collect();
-        let a = Csr::from_edges(50, &edges);
-        let x = Dense::from_fn(50, 7, |r, c| ((r * 13 + c * 3) % 17) as f32 - 8.0);
-        let full = a.spmm(&x);
-        for threads in [1usize, 4] {
-            let _g = crate::pool::scoped_threads(Some(threads));
-            let rows: Vec<u32> = vec![0, 3, 17, 49];
-            // Stale garbage in every row: selected rows must be fully
-            // overwritten, unselected rows left byte-for-byte alone.
-            let mut out = Dense::from_fn(50, 7, |r, c| (r * 7 + c) as f32 + 0.5);
-            let before = out.clone();
-            a.spmm_rows_into(&x, &rows, &mut out);
-            for r in 0..50u32 {
-                for c in 0..7 {
-                    let want = if rows.contains(&r) {
-                        full.get(r as usize, c)
-                    } else {
-                        before.get(r as usize, c)
-                    };
-                    assert_eq!(
-                        out.get(r as usize, c).to_bits(),
-                        want.to_bits(),
-                        "row {r} col {c} at {threads} threads"
-                    );
-                }
-            }
-            // Empty selection is a no-op.
-            let untouched = out.clone();
-            a.spmm_rows_into(&x, &[], &mut out);
-            assert_eq!(out, untouched);
-        }
-    }
-
-    #[test]
-    fn spmm_rows_into_handles_every_chunk_remainder() {
-        // Regression: the chunk split used to take `chunks = min(len, 4T)`
-        // with `rows_per_chunk = ceil(len / chunks)`, so any `len` where
-        // `ceil(len / 4T) · (4T - 1) > len` (e.g. 5 rows at 1 thread) gave
-        // a trailing chunk with `lo > len` and panicked on the slice.
-        // Sweep selection sizes across the non-divisible remainders at
-        // several thread counts and pin the results bitwise.
-        let n = 64usize;
-        let edges: Vec<(u32, u32)> = (0..900u32).map(|i| (i % 61, (i * 7) % 63)).collect();
-        let a = Csr::from_edges(n, &edges);
-        let x = Dense::from_fn(n, 3, |r, c| ((r * 5 + c * 11) % 19) as f32 - 9.0);
-        let full = a.spmm(&x);
-        for threads in [1usize, 2, 8] {
-            let _g = crate::pool::scoped_threads(Some(threads));
-            for len in [1usize, 2, 3, 4, 5, 7, 9, 13, 31, 33, 63, 64] {
-                let rows: Vec<u32> = (0..n as u32).step_by(n / len).take(len).collect();
-                assert_eq!(rows.len(), len);
-                let mut out = Dense::from_fn(n, 3, |r, c| (r + c) as f32 - 2.5);
-                let before = out.clone();
-                a.spmm_rows_into(&x, &rows, &mut out);
-                for r in 0..n {
-                    for c in 0..3 {
-                        let want = if rows.contains(&(r as u32)) {
-                            full.get(r, c)
-                        } else {
-                            before.get(r, c)
-                        };
-                        assert_eq!(
-                            out.get(r, c).to_bits(),
-                            want.to_bits(),
-                            "row {r} col {c}, {len} selected rows at {threads} threads"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "spmm_rows_into rows must be strictly ascending")]
-    fn spmm_rows_into_rejects_unsorted_rows() {
-        let edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i % 5, (i * 3) % 5)).collect();
-        let a = Csr::from_edges(5, &edges);
-        let x = Dense::zeros(5, 2);
-        let mut out = Dense::zeros(5, 2);
-        a.spmm_rows_into(&x, &[3, 1], &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "spmm_rows_into row index out of range")]
-    fn spmm_rows_into_index_panics() {
-        let a = Csr::empty(3, 3);
-        let mut out = Dense::zeros(3, 2);
-        a.spmm_rows_into(&Dense::zeros(3, 2), &[3], &mut out);
     }
 
     #[test]

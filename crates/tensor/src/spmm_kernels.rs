@@ -177,41 +177,6 @@ fn spmm_rows_block_impl(
     }
 }
 
-// Scattered-row gather span: the closure body of `Csr::spmm_rows_into`.
-// `span` holds output rows `r0 ..` of the full `matrix-rows × f` output,
-// and `rows` (strictly ascending, all inside the span) are the rows to
-// overwrite; the others are left untouched.
-simd::simd_dispatch!(pub(crate) fn spmm_rows_into_span
-    = spmm_rows_into_span_impl / spmm_rows_into_span_avx2(
-    span: &mut [f32],
-    f: usize,
-    r0: usize,
-    rows: &[u32],
-    indptr: &[usize],
-    indices: &[u32],
-    values: &[f32],
-    x: &[f32],
-));
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn spmm_rows_into_span_impl(
-    span: &mut [f32],
-    f: usize,
-    r0: usize,
-    rows: &[u32],
-    indptr: &[usize],
-    indices: &[u32],
-    values: &[f32],
-    x: &[f32],
-) {
-    for &r in rows {
-        let r = r as usize;
-        let out_row = &mut span[(r - r0) * f..(r - r0 + 1) * f];
-        gather_row(out_row, indices, values, indptr[r], indptr[r + 1], x, f);
-    }
-}
-
 // The serial scatter of `Csr::spmm_transa` (out[c] += v · x[r] in stored
 // order). `out` must be zero-initialized by the caller — scatter rows
 // receive contributions from many source rows, so this path accumulates.

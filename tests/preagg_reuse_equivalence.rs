@@ -1,19 +1,21 @@
 //! Bit-identity of the cross-snapshot pre-aggregation reuse cache
-//! (`dgnn_graph::preagg`, `TaskOptions::reuse_preagg`).
+//! (`dgnn_graph::preagg`).
 //!
-//! The incremental build — each timestep's `Ã_t·X_t` block carried
-//! forward from its predecessor with only the dirty rows recomputed —
-//! must be invisible to everything downstream: same preagg bits as the
-//! from-scratch build at every churn rate, thread count, and workspace
-//! setting; same engine loss stream and final parameters with the knob
-//! on or off; and the same bits again when the blocks round-trip the
-//! out-of-core tiered store at half the working-set budget. At low churn
-//! it must also actually save work: most rows carried, few recomputed.
+//! The journaled build — each timestep's `Ã_t·X_t` block carried forward
+//! from its predecessor with only the frontier rows recomputed — must be
+//! invisible to everything downstream. The journal-less preparation, which
+//! builds every block from scratch, is the reference: same preagg bits at
+//! every churn rate, thread count, and workspace setting; same engine loss
+//! stream and final parameters with and without a journal; and the same
+//! bits again when the blocks round-trip the out-of-core tiered store at
+//! half the working-set budget. At low churn it must also actually save
+//! work: most rows carried, few recomputed.
 
 use dgnn_core::prelude::*;
 use dgnn_core::train_single_out_of_core;
 use dgnn_graph::preagg::{incremental_preagg, journal_from_diff};
 use dgnn_store::StoreConfig;
+use dgnn_stream::windows;
 use dgnn_tensor::digest::digest_f32;
 use dgnn_tensor::{pool, workspace};
 use proptest::prelude::*;
@@ -41,20 +43,53 @@ fn preagg_bits(task: &Task) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn scratch_opts() -> TaskOptions {
-    TaskOptions {
-        reuse_preagg: false,
-        ..TaskOptions::default()
-    }
+/// The touched-vertex journal of `g`'s first `t` snapshots: the
+/// structural-diff endpoints of each transition, complete because churn
+/// snapshots are unweighted.
+fn diff_journal(g: &DynamicGraph, t: usize) -> Vec<Vec<u32>> {
+    (1..t)
+        .map(|ti| {
+            journal_from_diff(&dgnn_graph::diff(
+                g.snapshot(ti - 1).adj(),
+                g.snapshot(ti).adj(),
+            ))
+        })
+        .collect()
+}
+
+/// A sparse timeline at 2% churn: the frontier of every transition stays
+/// under half of the rows often enough that the journaled CD-GCN build
+/// carries blocks, so the engine-level tests below compare a real carry
+/// with the scratch build (hub-heavy or high-churn timelines rebuild
+/// every block and would compare scratch with scratch).
+fn low_churn_timeline() -> DynamicGraph {
+    dgnn_graph::gen::churn(100, 8, 150, 0.02, 11)
+}
+
+/// `g` prepared with its last snapshot held out, with the diff journal
+/// (`journaled`) or without one (every block from scratch).
+fn prepare(g: &DynamicGraph, cfg: &ModelConfig, journaled: bool) -> Task {
+    let t = g.t() - 1;
+    let train = g.time_slice(0, t);
+    let next = g.snapshot(t);
+    let journal = journaled.then(|| diff_journal(g, t));
+    prepare_task_journaled(
+        &train,
+        next,
+        cfg,
+        &TaskOptions::default(),
+        journal.as_deref(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Incremental == from-scratch, bitwise, across churn rates ×
+    /// Journaled == journal-less, bitwise, across churn rates ×
     /// `DGNN_THREADS={1,4}` × `DGNN_WORKSPACE={0,1}` × all model kinds
-    /// (each kind exercises a different smoothing, i.e. a different
-    /// dirty-row path: raw journal-eligible, edge-life, M-product).
+    /// (each kind applies a different smoothing: only the raw CD-GCN
+    /// timeline can carry blocks; edge-life and M-product ignore the
+    /// journal and build from scratch).
     #[test]
     fn incremental_preagg_is_bitwise_across_configs(
         rho in 0.01f64..0.5,
@@ -73,14 +108,14 @@ proptest! {
                 let (inc, scratch) = if ws_on {
                     let _w = workspace::engage();
                     (
-                        preagg_bits(&prepare_task_holdout(&g, &cfg, &TaskOptions::default())),
-                        preagg_bits(&prepare_task_holdout(&g, &cfg, &scratch_opts())),
+                        preagg_bits(&prepare(&g, &cfg, true)),
+                        preagg_bits(&prepare(&g, &cfg, false)),
                     )
                 } else {
                     let _w = workspace::disable();
                     (
-                        preagg_bits(&prepare_task_holdout(&g, &cfg, &TaskOptions::default())),
-                        preagg_bits(&prepare_task_holdout(&g, &cfg, &scratch_opts())),
+                        preagg_bits(&prepare(&g, &cfg, true)),
+                        preagg_bits(&prepare(&g, &cfg, false)),
                     )
                 };
                 prop_assert_eq!(
@@ -99,15 +134,18 @@ proptest! {
     }
 }
 
-/// Engine-level knob gate: a full training run must not see the knob at
-/// all — identical per-epoch loss bits and final parameter digest with
-/// reuse on and off, for every model kind.
+/// Engine-level gate: a full training run must not see how its blocks
+/// were built — identical per-epoch loss bits and final parameter digest
+/// with and without a journal, for every model kind.
 #[test]
-fn engine_runs_are_bit_identical_with_knob_on_and_off() {
-    let g = dgnn_graph::gen::churn_skewed(60, 8, 240, 0.3, 0.9, 11);
-    let run = |task_opts: &TaskOptions, kind: ModelKind| -> (Vec<u64>, u64) {
+fn engine_runs_are_bit_identical_with_and_without_journal() {
+    let g = low_churn_timeline();
+    let run = |journaled: bool, kind: ModelKind| -> (Vec<u64>, u64) {
         let cfg = small_cfg(kind);
-        let task = prepare_task_holdout(&g, &cfg, task_opts);
+        let task = prepare(&g, &cfg, journaled);
+        if journaled && kind == ModelKind::CdGcn {
+            assert!(task.preagg_reuse.incremental_builds > 0, "nothing carried");
+        }
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
         let model = Model::new(cfg, &mut store, &mut rng);
@@ -126,37 +164,57 @@ fn engine_runs_are_bit_identical_with_knob_on_and_off() {
         )
     };
     for kind in KINDS {
-        let on = run(&TaskOptions::default(), kind);
-        let off = run(&scratch_opts(), kind);
-        assert_eq!(on.0, off.0, "loss stream moved for {kind:?}");
-        assert_eq!(on.1, off.1, "parameters moved for {kind:?}");
+        let journaled = run(true, kind);
+        let scratch = run(false, kind);
+        assert_eq!(journaled.0, scratch.0, "loss stream moved for {kind:?}");
+        assert_eq!(journaled.1, scratch.1, "parameters moved for {kind:?}");
     }
 }
 
-/// Streaming end-to-end: `train_streaming` now feeds each window's
+/// Streaming end-to-end: `train_streaming` feeds each window's
 /// touched-vertex journal into task preparation; the whole warm-started
-/// trajectory must match a run with the reuse cache disabled.
+/// trajectory must match a replay of the same windows whose tasks are
+/// prepared without a journal.
 #[test]
 fn streaming_journal_path_matches_scratch_builds() {
-    let g = dgnn_graph::gen::churn_skewed(50, 7, 180, 0.25, 0.9, 4);
+    let g = low_churn_timeline();
     let log = EventLog::replay(&g);
-    let run = |task: TaskOptions| -> Vec<Vec<u64>> {
-        let opts = StreamTrainOptions {
-            history: 3,
-            min_history: 2,
-            epochs_per_window: 2,
-            task,
-            ..Default::default()
-        };
-        // CD-GCN applies no smoothing, so this exercises the journal
-        // (not the scan) dirty-row path.
-        train_streaming(&log, small_cfg(ModelKind::CdGcn), &opts)
-            .iter()
-            .map(|w| w.epochs.iter().map(|e| e.loss.to_bits()).collect())
-            .collect()
+    // CD-GCN applies no smoothing, so the streamed run takes the journal
+    // path.
+    let cfg = small_cfg(ModelKind::CdGcn);
+    let opts = StreamTrainOptions {
+        history: 3,
+        min_history: 2,
+        epochs_per_window: 2,
+        ..Default::default()
     };
-    let with_journal = run(TaskOptions::default());
-    let scratch = run(scratch_opts());
+    let loss_bits =
+        |epochs: &[EpochStats]| -> Vec<u64> { epochs.iter().map(|e| e.loss.to_bits()).collect() };
+    let with_journal: Vec<Vec<u64>> = train_streaming(&log, cfg, &opts)
+        .iter()
+        .map(|w| loss_bits(&w.epochs))
+        .collect();
+
+    // The same warm-started windows, replayed by hand: train on up to
+    // `history` snapshots, hold out the newest, one parameter store.
+    let snapshots: Vec<Snapshot> = windows(&log, opts.policy).map(|w| w.snapshot).collect();
+    let mut rng = StdRng::seed_from_u64(opts.train.seed);
+    let mut store = ParamStore::new();
+    let model = Model::new(cfg, &mut store, &mut rng);
+    let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+    let inner = TrainOptions {
+        epochs: opts.epochs_per_window,
+        ..opts.train
+    };
+    let scratch: Vec<Vec<u64>> = (opts.min_history..snapshots.len())
+        .map(|end| {
+            let start = end.saturating_sub(opts.history);
+            let train = DynamicGraph::new(log.n(), snapshots[start..end].to_vec());
+            let task = prepare_task(&train, &snapshots[end], &cfg, &opts.task);
+            assert_eq!(task.preagg_reuse.incremental_builds, 0);
+            loss_bits(&train_single(&model, &head, &mut store, &task, &inner))
+        })
+        .collect();
     assert!(!with_journal.is_empty());
     assert_eq!(with_journal, scratch, "journaled reuse changed the stream");
 }
@@ -167,15 +225,17 @@ fn streaming_journal_path_matches_scratch_builds() {
 /// scratch-built run bit for bit.
 #[test]
 fn out_of_core_half_budget_run_with_reuse_is_bit_identical() {
-    let g = dgnn_graph::gen::churn_skewed(60, 8, 240, 0.3, 0.9, 11);
+    let g = low_churn_timeline();
     let cfg = small_cfg(ModelKind::CdGcn);
-    let reuse_task = prepare_task_holdout(&g, &cfg, &TaskOptions::default());
-    assert!(
-        reuse_task.preagg_reuse.incremental_builds > 0
-            || reuse_task.preagg_reuse.full_builds == reuse_task.t,
+    let reuse_task = prepare(&g, &cfg, true);
+    let r = reuse_task.preagg_reuse;
+    assert!(r.incremental_builds > 0, "nothing carried");
+    assert_eq!(
+        r.full_builds + r.incremental_builds,
+        reuse_task.t,
         "reuse stats must account for every timestep"
     );
-    let scratch_task = prepare_task_holdout(&g, &cfg, &scratch_opts());
+    let scratch_task = prepare(&g, &cfg, false);
     let working_set: u64 = reuse_task
         .laps
         .iter()
@@ -245,17 +305,7 @@ fn low_churn_journal_path_recomputes_at_most_a_quarter_of_rows() {
         let g = dgnn_graph::gen::churn(n, t, m, rate, 23);
         let laps: Vec<Csr> = g.snapshots().iter().map(Snapshot::laplacian).collect();
         let xs: Vec<Dense> = dgnn_graph::degree_features(&g).into_frames();
-        // churn snapshots are unweighted, so the structural diff endpoints
-        // are a complete touched-vertex journal.
-        let journal: Vec<Vec<u32>> = (1..t)
-            .map(|ti| {
-                journal_from_diff(&dgnn_graph::diff(
-                    g.snapshot(ti - 1).adj(),
-                    g.snapshot(ti).adj(),
-                ))
-            })
-            .collect();
-        let (_, stats) = incremental_preagg(&laps, &xs, Some(&journal));
+        let (_, stats) = incremental_preagg(&laps, &xs, Some(&diff_journal(&g, t)));
         let recomputed = stats.recomputed_fraction();
         assert!(
             recomputed <= 0.25,
