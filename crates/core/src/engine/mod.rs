@@ -18,9 +18,9 @@
 //!   are assembled.
 //!
 //! The concrete strategies are `SingleRank` (`single_rank`)
-//! (paper §3), `TimePartitioned` (`time_part`, §4.2),
-//! `HybridRows` (`hybrid_rows`, §6.5) and
-//! `VertexPartitioned` (`vertex_part`, §4.1/§6.4);
+//! (paper §3), `TimePartitioned` (`time_part`, §4.2) and the one
+//! row-split layout `VertexPartitioned` (`vertex_part`), which runs both
+//! the vertex-partitioning baseline (§4.1/§6.4) and the hybrid (§6.5);
 //! vertex classification rides the single-rank layout with its own
 //! objective (`classify::SingleRankClassification`), and the streaming
 //! trainer is a front-end that feeds windows to the single-rank engine.
@@ -36,7 +36,6 @@
 //! pre-engine trainers, at multiple thread counts.
 
 pub(crate) mod classify;
-pub(crate) mod hybrid_rows;
 pub(crate) mod single_rank;
 pub mod source;
 pub(crate) mod time_part;

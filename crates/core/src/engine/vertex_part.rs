@@ -1,19 +1,29 @@
-//! The vertex-partitioned (hypergraph) strategy (paper §4.1, §6.4).
+//! The row-split strategy (paper §4.1, §6.4, §6.5).
 //!
-//! Vertices are partitioned by the hypergraph partitioner, renamed so
-//! every part is contiguous, and each rank stores its rows of every
-//! snapshot's Laplacian and feature matrix. The temporal component is
-//! communication-free (each rank holds its vertices' full timeline); the
-//! SpMM requires the irregular neighbor exchange: per timestep, each rank
-//! sends exactly the feature rows other ranks' boundary columns reference,
-//! using index lists pre-computed at setup (paper §6.4: "the indices are
-//! pre-computed").
+//! Each rank holds a contiguous row block of every snapshot's Laplacian
+//! and feature matrix. The temporal component is communication-free (each
+//! rank holds its vertices' full timeline); the SpMM requires the
+//! irregular neighbor exchange: per timestep, each rank sends exactly the
+//! feature rows other ranks' boundary columns reference, using index lists
+//! pre-computed at setup (paper §6.4: "the indices are pre-computed").
+//!
+//! Two layouts bind it (`crate::vertex_dist`): the vertex-partitioning
+//! baseline (§4.1) over a hypergraph partition renamed to contiguous
+//! parts, and the hybrid's one-group row split (§6.5) over balanced
+//! ranges of the original ids.
+//!
+//! Both sum exactly as the single-rank trainer does. A rank's local
+//! columns are numbered by global id, and the exchanged rows are stacked
+//! in that same order ([`stack_exchanged`]), so every SpMM row sums in
+//! global column order. The reverse exchange adds each own row's gradient
+//! contributions in rank order, as `Comm::all_reduce_sum` does.
 //!
 //! Losses are computed from all-gathered embeddings with each rank owning
 //! a slice of the sample set; the gradient all-reduce keeps replicas
 //! identical. The scheme faithfully simulates the sequential algorithm, so
 //! its convergence matches snapshot partitioning (paper Fig. 6).
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -35,11 +45,12 @@ pub(crate) struct ExchangePlan {
     /// `needed_out[t][q]` = local row indices (within my range) that rank
     /// `q` needs at timestep `t`.
     needed_out: Vec<Vec<Vec<u32>>>,
-    /// `needed_in[t][q]` = how many rows arrive from rank `q` at `t`.
+    /// `needed_in_len[t][q]` = how many rows arrive from rank `q` at `t`.
     needed_in_len: Vec<Vec<usize>>,
-    /// Local sparse matrices: my Laplacian rows with columns remapped to
-    /// `[own rows | remote rows in (q, position) order]`.
-    a_loc: Vec<Csr>,
+    /// Local sparse matrices: my Laplacian rows with columns numbered by
+    /// global id over my rows and the remote rows they reference — the
+    /// row order of [`stack_exchanged`].
+    a_loc: Vec<Rc<Csr>>,
 }
 
 /// Builds per-rank ranges from a partition (contiguous after renaming).
@@ -57,7 +68,8 @@ pub(crate) fn part_ranges(partition: &[usize], p: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Builds the exchange plan of `rank` from the renamed Laplacians.
+/// Builds the exchange plan of `rank` from the Laplacians, whose rows
+/// `ranges` split into ascending contiguous blocks.
 pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> ExchangePlan {
     let p = ranges.len();
     let my = ranges[rank].clone();
@@ -80,18 +92,22 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
             remote[q].sort_unstable();
             remote[q].dedup();
         }
-        // Column remap: own rows first, then remote in (q, position) order.
-        let mut col_map = std::collections::HashMap::new();
-        for (i, v) in my.clone().enumerate() {
-            col_map.insert(v as u32, i as u32);
-        }
-        let mut next = my.len() as u32;
+        // Column remap in global-id order: lower ranks' remote rows, my
+        // rows, then higher ranks' remote rows.
+        let mut local: Vec<u32> = Vec::new();
         for q in 0..p {
-            for &v in &remote[q] {
-                col_map.insert(v, next);
-                next += 1;
+            if q == rank {
+                local.extend(my.clone().map(|v| v as u32));
+            } else {
+                local.extend(&remote[q]);
             }
         }
+        debug_assert!(local.windows(2).all(|w| w[0] < w[1]), "ranges ascend");
+        let col_map: HashMap<u32, u32> = local
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u32))
+            .collect();
         let triplets: Vec<(u32, u32, f32)> = my
             .clone()
             .flat_map(|r| {
@@ -100,7 +116,7 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
                     .collect::<Vec<_>>()
             })
             .collect();
-        a_loc.push(Csr::from_coo(my.len(), next as usize, &triplets));
+        a_loc.push(Rc::new(Csr::from_coo(my.len(), local.len(), &triplets)));
 
         // What each peer needs *from me* mirrors what I need from them:
         // computed symmetrically from the full Laplacian.
@@ -133,25 +149,23 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
     }
 }
 
-/// One rank's renamed-space context: ranges, exchange plan, features and
-/// (relabelled) samples.
-pub(crate) struct VertexRankCtx {
-    pub ranges: Vec<Range<usize>>,
-    pub plan: ExchangePlan,
-    /// Renamed feature rows are sliced per rank from the full matrices.
-    pub features: Vec<Dense>,
-    pub train: Vec<EdgeSamples>,
-    pub test: EdgeSamples,
+/// Stacks my rows with the rows received from every peer in rank order —
+/// `parts[q]` from rank `q`, `own` in my slot — which is the column order
+/// of [`ExchangePlan`]'s local Laplacians.
+fn stack_exchanged(own: &Dense, parts: &[Dense], rank: usize) -> Dense {
+    let rows: Vec<&Dense> = parts
+        .iter()
+        .enumerate()
+        .map(|(q, part)| if q == rank { own } else { part })
+        .collect();
+    Dense::vstack(&rows)
 }
 
 /// Per-layer bookkeeping for the staged backward.
 pub(crate) struct VLayerIo {
-    /// Gather-send variables per timestep per destination rank.
-    gather_send: Vec<Vec<Option<Var>>>,
-    /// Remote-rows input leaf per timestep.
-    x_remote: Vec<Option<Var>>,
-    /// Own-rows input leaf per timestep (`None` at layer 0: constants).
-    x_own: Vec<Option<Var>>,
+    /// Stacked SpMM input per timestep: a constant at layer 0, a leaf
+    /// whose gradient the reverse exchange returns to its owners above.
+    x_in: Vec<Var>,
     /// Temporal outputs per timestep (own rows).
     z_out: Vec<Var>,
 }
@@ -164,14 +178,15 @@ pub(crate) struct VertexIo {
     sample_slices: Vec<EdgeSamples>,
 }
 
-/// The hypergraph vertex-partitioned layout over `p` rank threads.
+/// The row-split layout over `p` rank threads.
 pub(crate) struct VertexPartitioned<'m, 'c> {
     comm: &'c mut Comm,
     model: &'m Model,
     head: &'m LinkPredHead,
-    ctx: &'m VertexRankCtx,
-    /// The renamed-space task (Laplacians/features; samples come from ctx).
+    /// The task in the layout's vertex space.
     task: &'m Task,
+    ranges: &'m [Range<usize>],
+    plan: &'m ExchangePlan,
     epoch_mark: Option<CommMark>,
 }
 
@@ -180,15 +195,17 @@ impl<'m, 'c> VertexPartitioned<'m, 'c> {
         comm: &'c mut Comm,
         model: &'m Model,
         head: &'m LinkPredHead,
-        ctx: &'m VertexRankCtx,
         task: &'m Task,
+        ranges: &'m [Range<usize>],
+        plan: &'m ExchangePlan,
     ) -> Self {
         Self {
             comm,
             model,
             head,
-            ctx,
             task,
+            ranges,
+            plan,
             epoch_mark: None,
         }
     }
@@ -206,7 +223,7 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
     fn carry_rows(&self) -> usize {
         match self.model.kind() {
             ModelKind::EvolveGcn => self.task.n,
-            _ => self.ctx.ranges[self.comm.rank()].len(),
+            _ => self.ranges[self.comm.rank()].len(),
         }
     }
 
@@ -221,11 +238,11 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         carry_in: &CarryState,
     ) -> BlockRun<'m, VertexIo> {
         let comm = &mut *self.comm;
-        let ctx = self.ctx;
+        let (task, plan) = (self.task, self.plan);
         let rank = comm.rank();
         let p = comm.world();
         let cfg = *self.model.config();
-        let my = ctx.ranges[rank].clone();
+        let my = self.ranges[rank].clone();
 
         let mut tape = Tape::new();
         let mut seg = self
@@ -236,85 +253,35 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         // Layer-0 inputs: my feature rows, per block timestep.
         let mut x_vals: Vec<Dense> = block
             .clone()
-            .map(|t| ctx.features[t].row_block(my.start, my.len()))
+            .map(|t| task.features[t].row_block(my.start, my.len()))
             .collect();
         let mut prev_z: Vec<Var> = Vec::new();
 
         let mut layers_io: Vec<VLayerIo> = Vec::with_capacity(cfg.layers());
         for layer in 0..cfg.layers() {
-            let mut io = VLayerIo {
-                gather_send: Vec::new(),
-                x_remote: Vec::new(),
-                x_own: Vec::new(),
-                z_out: Vec::new(),
-            };
+            let mut x_in = Vec::with_capacity(block.len());
             let mut spatial: Vec<Var> = Vec::with_capacity(block.len());
             for (i, t) in block.clone().enumerate() {
-                // Own rows enter as a leaf (layer > 0) or a constant (layer 0).
-                let x_own = if layer == 0 {
-                    let v = tape.constant(x_vals[i].clone());
-                    io.x_own.push(None);
-                    v
+                // Send each peer the rows it references; stack what arrives.
+                let sends = (0..p)
+                    .map(|q| x_vals[i].gather_rows(&plan.needed_out[t][q]))
+                    .collect();
+                let parts = comm.all_to_all_dense(sends);
+                let stacked = stack_exchanged(&x_vals[i], &parts, rank);
+                let x = if layer == 0 {
+                    tape.constant(stacked)
                 } else {
-                    let v = tape.input(x_vals[i].clone());
-                    io.x_own.push(Some(v));
-                    v
+                    tape.input(stacked)
                 };
-                // Send the rows peers need; gather through the tape so
-                // reverse grads flow into this layer's input.
-                let mut sends: Vec<Option<Var>> = vec![None; p];
-                let mut payloads: Vec<Payload> = Vec::with_capacity(p);
-                for q in 0..p {
-                    if q == rank || ctx.plan.needed_out[t][q].is_empty() {
-                        payloads.push(Payload::Dense(Dense::zeros(0, tape.value(x_own).cols())));
-                        continue;
-                    }
-                    let idx = Rc::new(ctx.plan.needed_out[t][q].clone());
-                    let g = tape.gather_rows(x_own, idx);
-                    sends[q] = Some(g);
-                    payloads.push(Payload::Dense(tape.value(g).clone()));
-                }
-                let recv = comm.all_to_all(payloads);
-                // Assemble remote rows in (q, position) order.
-                let mut remote_parts: Vec<Dense> = Vec::new();
-                for (q, payload) in recv.into_iter().enumerate() {
-                    if q == rank {
-                        continue;
-                    }
-                    let Payload::Dense(d) = payload else {
-                        panic!("expected dense")
-                    };
-                    debug_assert_eq!(d.rows(), ctx.plan.needed_in_len[t][q]);
-                    if d.rows() > 0 {
-                        remote_parts.push(d);
-                    }
-                }
-                let x_remote = if remote_parts.is_empty() {
-                    io.x_remote.push(None);
-                    None
-                } else {
-                    let stacked = Dense::vstack(&remote_parts.iter().collect::<Vec<_>>());
-                    let v = tape.input(stacked);
-                    io.x_remote.push(Some(v));
-                    Some(v)
-                };
-                io.gather_send.push(sends);
-
-                let x_stacked = match x_remote {
-                    Some(r) => tape.concat_rows(&[x_own, r]),
-                    None => x_own,
-                };
-                // Pad columns: a_loc expects own+remote columns even if none
-                // arrived this timestep (then a_loc has no remote columns).
-                let a = Rc::new(ctx.plan.a_loc[t].clone());
-                debug_assert_eq!(a.cols(), tape.value(x_stacked).rows());
-                spatial.push(seg.spatial_rows(&mut tape, layer, t, a, x_stacked));
+                x_in.push(x);
+                let a = Rc::clone(&plan.a_loc[t]);
+                debug_assert_eq!(a.cols(), tape.value(x).rows());
+                spatial.push(seg.spatial_rows(&mut tape, layer, t, a, x));
             }
             let z_out = seg.temporal(&mut tape, layer, 0, &spatial);
             x_vals = z_out.iter().map(|&v| tape.value(v).clone()).collect();
-            io.z_out = z_out.clone();
-            prev_z = z_out;
-            layers_io.push(io);
+            prev_z = z_out.clone();
+            layers_io.push(VLayerIo { x_in, z_out });
         }
 
         // Losses: all-gather full embeddings, each rank scores its slice.
@@ -334,8 +301,8 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
             let full = Dense::vstack(&parts.iter().collect::<Vec<_>>());
             let zf = tape.input(full);
             z_full.push(zf);
-            let slice_range = balanced_ranges(ctx.train[t].len(), p)[rank].clone();
-            let slice = ctx.train[t].slice(slice_range);
+            let slice_range = balanced_ranges(task.train[t].len(), p)[rank].clone();
+            let slice = task.train[t].slice(slice_range);
             let logits = self.head.logits(&mut tape, head_vars, zf, &slice);
             let loss = tape.softmax_cross_entropy(logits, Rc::new(slice.labels.clone()));
             logit_vars.push(logits);
@@ -362,12 +329,11 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         carry_grads: Option<&CarryGrads>,
     ) {
         let comm = &mut *self.comm;
-        let ctx = self.ctx;
-        let t_total = self.task.t;
+        let (task, plan) = (self.task, self.plan);
         let rank = comm.rank();
         let p = comm.world();
         let cfg = *self.model.config();
-        let my = ctx.ranges[rank].clone();
+        let my = self.ranges[rank].clone();
 
         // Stage 0: loss seeds. The global per-timestep loss is the mean
         // over all samples; this rank computed the mean over its slice, so
@@ -379,8 +345,8 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
             .map(|(i, &lv)| {
                 let t = block.start + i;
                 let w = run.io.sample_slices[i].len() as f32
-                    / ctx.train[t].len().max(1) as f32
-                    / t_total as f32;
+                    / task.train[t].len().max(1) as f32
+                    / task.t as f32;
                 (lv, Dense::full(1, 1, w))
             })
             .collect();
@@ -404,7 +370,7 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         }
 
         for layer in (0..cfg.layers()).rev() {
-            // Stage A: temporal+spatial sweep of this layer.
+            // Temporal+spatial sweep of this layer.
             let mut seeds: Vec<(Var, Dense)> = Vec::new();
             for (i, _t) in block.clone().enumerate() {
                 seeds.push((run.io.layers_io[layer].z_out[i], dz_rows[i].clone()));
@@ -414,61 +380,41 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
             }
             run.tape.backward(&seeds);
 
-            // Stage B: reverse neighbor exchange — remote-row grads back to
-            // their owners, seeding the gather-send variables.
-            let mut gather_seeds: Vec<(Var, Dense)> = Vec::new();
+            // Reverse neighbor exchange (layer 0's inputs are constants):
+            // each peer gets back the gradient of the rows it sent, and my
+            // rows' contributions are summed in rank order into the layer
+            // below's seeds.
+            if layer == 0 {
+                continue;
+            }
             for (i, t) in block.clone().enumerate() {
-                let io = &run.io.layers_io[layer];
-                // Split my x_remote grad back into per-source sections.
-                let width = dz_rows[i].cols().max(cfg.gcn_in(layer));
-                let mut sections: Vec<Dense> = vec![Dense::zeros(0, width); p];
-                if let Some(xr) = io.x_remote[i] {
-                    let g = run
-                        .tape
-                        .grad(xr)
-                        .expect("remote rows must receive a gradient")
-                        .clone();
-                    let mut offset = 0;
-                    for (q, section) in sections.iter_mut().enumerate() {
-                        let len = ctx.plan.needed_in_len[t][q];
-                        if len > 0 {
-                            *section = g.row_block(offset, len);
-                            offset += len;
-                        }
-                    }
-                }
-                let payloads: Vec<Payload> = sections.into_iter().map(Payload::Dense).collect();
-                let recv = comm.all_to_all(payloads);
-                for (q, payload) in recv.into_iter().enumerate() {
+                let g = run
+                    .tape
+                    .grad(run.io.layers_io[layer].x_in[i])
+                    .expect("stacked rows feed the SpMM");
+                let mut offset = 0;
+                let mut sections: Vec<Dense> = (0..p)
+                    .map(|q| {
+                        let len = if q == rank {
+                            my.len()
+                        } else {
+                            plan.needed_in_len[t][q]
+                        };
+                        offset += len;
+                        g.row_block(offset - len, len)
+                    })
+                    .collect();
+                let own = std::mem::replace(&mut sections[rank], Dense::zeros(0, g.cols()));
+                let recv = comm.all_to_all_dense(sections);
+                let mut dx = Dense::zeros(my.len(), own.cols());
+                for (q, d) in recv.iter().enumerate() {
                     if q == rank {
-                        continue;
-                    }
-                    let Payload::Dense(d) = payload else {
-                        panic!("expected dense")
-                    };
-                    if d.rows() > 0 {
-                        let g_var = run.io.layers_io[layer].gather_send[i][q]
-                            .expect("sent rows must have a gather var");
-                        gather_seeds.push((g_var, d));
+                        dx.add_assign(&own);
+                    } else {
+                        dx.scatter_add_rows(&plan.needed_out[t][q], d);
                     }
                 }
-            }
-            if !gather_seeds.is_empty() {
-                run.tape.backward(&gather_seeds);
-            }
-
-            // Propagate to the layer below: own-leaf grads become its dz.
-            if layer > 0 {
-                for (i, _) in block.clone().enumerate() {
-                    let x_own = run.io.layers_io[layer].x_own[i].expect("layer > 0 has a leaf");
-                    dz_rows[i] = match run.tape.grad(x_own) {
-                        Some(g) => g.clone(),
-                        None => {
-                            let (r, c) = run.tape.value(x_own).shape();
-                            Dense::zeros(r, c)
-                        }
-                    };
-                }
+                dz_rows[i] = dx;
             }
         }
     }
@@ -481,7 +427,7 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         last_z: &mut Option<Dense>,
     ) {
         for (i, t) in block.clone().enumerate() {
-            let w = run.io.sample_slices[i].len() as f64 / self.ctx.train[t].len().max(1) as f64;
+            let w = run.io.sample_slices[i].len() as f64 / self.task.train[t].len().max(1) as f64;
             stats.loss_sum += f64::from(run.tape.value(run.loss_vars[i]).get(0, 0)) * w;
             let logits = run.tape.value(run.logit_vars[i]);
             let acc = accuracy(logits, &run.io.sample_slices[i].labels);
@@ -514,10 +460,10 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         ];
         if self.comm.rank() == 0 {
             let z = last_z.as_ref().expect("rank 0 sees the last block");
-            let logits = self.head.predict(store, z, &self.ctx.test);
-            let acc = accuracy(&logits, &self.ctx.test.labels);
-            agg[3] = (acc * self.ctx.test.labels.len() as f64) as f32;
-            agg[4] = self.ctx.test.labels.len() as f32;
+            let logits = self.head.predict(store, z, &self.task.test);
+            let acc = accuracy(&logits, &self.task.test.labels);
+            agg[3] = (acc * self.task.test.labels.len() as f64) as f32;
+            agg[4] = self.task.test.labels.len() as f32;
         }
         self.comm.all_reduce_sum(&mut agg);
         let mark = self.epoch_mark.expect("begin_epoch sets the mark");
@@ -538,5 +484,74 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         let mark = self.epoch_mark.expect("begin_epoch sets the mark");
         out.phase.comm_us = self.comm.busy_us_since(mark);
         out.phase.comm_wait_us = self.comm.wait_us_since(mark);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::{prepare_task, TaskOptions};
+    use dgnn_graph::gen::churn;
+    use dgnn_models::ModelConfig;
+    use dgnn_partition::{contiguous_renaming, partition, Hypergraph, PartitionerConfig};
+
+    /// Each rank's SpMM over its stacked rows bit-equals its rows of the
+    /// single-rank SpMM on the same graph.
+    fn assert_rank_spmm_is_single_rank(laps: &[Csr], ranges: &[Range<usize>], what: &str) {
+        let p = ranges.len();
+        let n = laps[0].rows();
+        let plans: Vec<ExchangePlan> = (0..p).map(|r| build_plan(laps, ranges, r)).collect();
+        let x_full = Dense::from_fn(n, 3, |r, c| ((r * 7 + c * 5) % 11) as f32 * 0.37 - 1.3);
+        let blocks: Vec<Dense> = ranges
+            .iter()
+            .map(|r| x_full.row_block(r.start, r.len()))
+            .collect();
+        for (t, lap) in laps.iter().enumerate() {
+            for (rank, my) in ranges.iter().enumerate() {
+                // What every peer sends this rank.
+                let parts: Vec<Dense> = (0..p)
+                    .map(|q| blocks[q].gather_rows(&plans[q].needed_out[t][rank]))
+                    .collect();
+                let stacked = stack_exchanged(&blocks[rank], &parts, rank);
+                let got = plans[rank].a_loc[t].spmm(&stacked);
+                let want = lap.row_block(my.start, my.len()).spmm(&x_full);
+                let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{what}: p = {p}, rank {rank}, t = {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rank_spmm_bit_equals_single_rank_spmm() {
+        let g = churn(24, 6, 100, 0.3, 5);
+        let raw = g.time_slice(0, 5);
+        let next = g.snapshot(5).clone();
+        let cfg = ModelConfig {
+            kind: ModelKind::TmGcn,
+            input_f: 2,
+            hidden: 4,
+            mprod_window: 3,
+            smoothing_window: 3,
+        };
+        let opts = TaskOptions {
+            precompute_first_layer: false,
+            ..Default::default()
+        };
+        let task = prepare_task(&raw, &next, &cfg, &opts);
+        for p in [2, 3] {
+            assert_rank_spmm_is_single_rank(&task.laps, &balanced_ranges(task.n, p), "balanced");
+
+            let part = partition(
+                &Hypergraph::column_net_model(&task.graph),
+                &PartitionerConfig::new(p),
+            );
+            let (perm, _) = contiguous_renaming(&part, p);
+            let renamed = prepare_task(&raw.relabel(&perm), &next.relabel(&perm), &cfg, &opts);
+            assert_rank_spmm_is_single_rank(&renamed.laps, &part_ranges(&part, p), "hypergraph");
+        }
     }
 }

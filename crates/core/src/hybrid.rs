@@ -1,22 +1,21 @@
-//! The hybrid trainer (paper §6.5) — a thin wrapper binding the
-//! `HybridRows` (`engine::hybrid_rows`) strategy to the
-//! shared execution engine. Each member of one processor group holds a
-//! row block of every Laplacian and feature matrix; the layout and staged
-//! backward live in `crate::engine::hybrid_rows`.
+//! The hybrid trainer (paper §6.5): individual snapshots too large for
+//! one GPU are split row-wise among the members of a processor group.
+//! This runs the paper's exploratory experiment — one group whose members
+//! share *every* snapshot — which trained AMLSim-Large-1/2 on two GPUs.
+//!
+//! It is the row-split layout (`crate::engine::vertex_part`) over
+//! balanced ranges of the original vertex ids, with no renaming: the
+//! same strategy as the vertex-partitioning baseline, which differs only
+//! in where its ranges come from.
 
 use dgnn_graph::{DynamicGraph, Snapshot};
-use dgnn_models::{LinkPredHead, Model, ModelConfig};
+use dgnn_models::ModelConfig;
 use dgnn_partition::balanced_ranges;
-use dgnn_sim::run_ranks;
-use dgnn_tensor::Csr;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::engine::hybrid_rows::HybridRows;
-use crate::engine::{run_engine, EngineConfig};
+use crate::engine::EngineConfig;
 use crate::metrics::{EpochStats, TrainOptions};
 use crate::task::{prepare_task, TaskOptions};
-use dgnn_autograd::ParamStore;
+use crate::vertex_dist::train_row_split;
 
 /// Hybrid training: one group of `p` ranks sharing every snapshot row-wise
 /// (the paper's §6.5 two-GPU experiment). Returns per-epoch statistics and
@@ -38,33 +37,7 @@ pub fn train_hybrid_digest(
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
     let econf = EngineConfig::new(*opts, *task_opts);
     let task = prepare_task(raw, next, &cfg, &econf.resolved_task(false));
-    let results = run_ranks(p, |comm| {
-        // Each member extracts its row blocks of every Laplacian.
-        let rows = balanced_ranges(task.n, comm.world());
-        let my = rows[comm.rank()].clone();
-        let a_rows: Vec<Csr> = task
-            .laps
-            .iter()
-            .map(|lap| lap.row_block(my.start, my.len()))
-            .collect();
-        let mut rng = StdRng::seed_from_u64(econf.train.seed);
-        let mut store = ParamStore::new();
-        let model = Model::new(cfg, &mut store, &mut rng);
-        let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
-        let blocks = econf.blocks(task.t);
-        let mut strategy = HybridRows::new(comm, &model, &head, &task, &a_rows);
-        let stats = run_engine(
-            &mut strategy,
-            &mut store,
-            &blocks,
-            econf.train.epochs,
-            econf.train.lr,
-        );
-        let digest = dgnn_tensor::digest::digest_f32(&store.values_flat());
-        (stats, digest)
-    });
-    let (mut stats, digests): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (stats.swap_remove(0), digests)
+    train_row_split(&task, &balanced_ranges(task.n, p), cfg, &econf)
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //! * [`vertex_dist::train_vertex_partitioned_digest`] — the
 //!   hypergraph-based vertex-partitioning baseline (paper §4.1, §6.4).
 //! * [`hybrid::train_hybrid_digest`] — intra-snapshot row splitting for
-//!   snapshots too large for one GPU (paper §6.5).
+//!   snapshots too large for one GPU (paper §6.5). It is the same
+//!   row-split strategy as the vertex baseline, over balanced ranges of
+//!   the original vertex ids instead of a renamed hypergraph partition.
 //! * [`classification::train_single_classification`] — the single-rank
 //!   layout with the class-weighted vertex-classification objective (§2.2).
 //! * [`streaming::train_streaming`] — online/continual training over a

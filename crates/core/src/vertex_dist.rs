@@ -1,23 +1,25 @@
-//! The vertex-partitioned (hypergraph) baseline trainer (paper §4.1, §6.4)
-//! — a thin wrapper binding the
-//! `VertexPartitioned` (`engine::vertex_part`)
-//! strategy to the shared execution engine. The wrapper owns the setup
-//! that is genuinely entry-point work — hypergraph partitioning, the
-//! contiguous renaming, and relabelling the samples so both schemes train
-//! on the same task — while the exchange plan and staged backward live in
-//! `crate::engine::vertex_part`.
+//! The vertex-partitioned (hypergraph) baseline trainer (paper §4.1,
+//! §6.4), and the one `run_ranks` body of the row-split layout that it
+//! shares with the hybrid trainer ([`crate::hybrid`]).
+//!
+//! The entry point owns the setup that is genuinely its own — hypergraph
+//! partitioning, the contiguous renaming, and relabelling the samples so
+//! both schemes train on the same task. The exchange plan and staged
+//! backward live in `crate::engine::vertex_part`.
 
-use dgnn_graph::{DynamicGraph, EdgeSamples, Snapshot};
+use std::ops::Range;
+
+use dgnn_graph::{DynamicGraph, Snapshot};
 use dgnn_models::{LinkPredHead, Model, ModelConfig};
 use dgnn_partition::{contiguous_renaming, partition, Hypergraph, PartitionerConfig};
 use dgnn_sim::run_ranks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::vertex_part::{build_plan, part_ranges, VertexPartitioned, VertexRankCtx};
+use crate::engine::vertex_part::{build_plan, part_ranges, VertexPartitioned};
 use crate::engine::{run_engine, EngineConfig};
 use crate::metrics::{EpochStats, TrainOptions};
-use crate::task::{prepare_task, TaskOptions};
+use crate::task::{prepare_task, Task, TaskOptions};
 use dgnn_autograd::ParamStore;
 
 /// Trains with hypergraph-based vertex partitioning over `p` rank threads
@@ -39,46 +41,41 @@ pub fn train_vertex_partitioned_digest(
 ) -> (Vec<EpochStats>, Vec<u64>) {
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
     let econf = EngineConfig::new(*opts, *task_opts);
+    let task_opts = econf.resolved_task(false);
     // Samples are drawn in the original vertex space so both schemes train
     // on the same task, then renamed alongside the vertices.
-    let task = prepare_task(raw, next, &cfg, &econf.resolved_task(false));
-    let smoothed = &task.graph;
-    let hg = Hypergraph::column_net_model(smoothed);
+    let task = prepare_task(raw, next, &cfg, &task_opts);
+    let hg = Hypergraph::column_net_model(&task.graph);
     let part = partition(&hg, &PartitionerConfig::new(p));
     let (perm, _inv) = contiguous_renaming(&part, p);
-    let renamed_raw = raw.relabel(&perm);
     // Rebuild graph-side data in the renamed space (degree features and
     // Laplacians are permutation-equivariant).
-    let renamed_task = prepare_task(
-        &renamed_raw,
-        &next.relabel(&perm),
-        &cfg,
-        &econf.resolved_task(false),
-    );
-    let ranges = part_ranges(&part, p);
+    let mut renamed = prepare_task(&raw.relabel(&perm), &next.relabel(&perm), &cfg, &task_opts);
     // Both schemes must train on the *same* sample pairs (paper Fig. 6
     // compares convergence): take the original-space samples and rename
     // their endpoints, rather than re-sampling in the renamed space.
-    let train_samples: Vec<EdgeSamples> = task.train.iter().map(|s| s.relabel(&perm)).collect();
-    let test_samples = task.test.relabel(&perm);
-    let ctx_template = (renamed_task, ranges);
+    renamed.train = task.train.iter().map(|s| s.relabel(&perm)).collect();
+    renamed.test = task.test.relabel(&perm);
+    train_row_split(&renamed, &part_ranges(&part, p), cfg, &econf)
+}
 
-    let results = run_ranks(p, |comm| {
-        let (task, ranges) = &ctx_template;
+/// Trains the row-split layout with rank `q` owning rows `ranges[q]` of
+/// `task` (ascending and contiguous), and returns rank 0's per-epoch
+/// statistics and every rank's final-parameter digest.
+pub(crate) fn train_row_split(
+    task: &Task,
+    ranges: &[Range<usize>],
+    cfg: ModelConfig,
+    econf: &EngineConfig,
+) -> (Vec<EpochStats>, Vec<u64>) {
+    let results = run_ranks(ranges.len(), |comm| {
         let plan = build_plan(&task.laps, ranges, comm.rank());
-        let ctx = VertexRankCtx {
-            ranges: ranges.clone(),
-            plan,
-            features: task.features.clone(),
-            train: train_samples.clone(),
-            test: test_samples.clone(),
-        };
         let mut rng = StdRng::seed_from_u64(econf.train.seed);
         let mut store = ParamStore::new();
         let model = Model::new(cfg, &mut store, &mut rng);
         let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
         let blocks = econf.blocks(task.t);
-        let mut strategy = VertexPartitioned::new(comm, &model, &head, &ctx, task);
+        let mut strategy = VertexPartitioned::new(comm, &model, &head, task, ranges, &plan);
         let stats = run_engine(
             &mut strategy,
             &mut store,

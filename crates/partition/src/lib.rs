@@ -4,18 +4,16 @@
 //! (paper §4): snapshot partitioning with contiguous and checkpoint-
 //! block-wise assignment, contiguous vertex chunks for the RNN
 //! redistribution, the hypergraph column-net model with a PaToH-substitute
-//! partitioner for the vertex-partitioning baseline, exact communication-
-//! volume accounting for both schemes, and the hybrid (intra-snapshot)
-//! layout of §6.5.
+//! partitioner for the vertex-partitioning baseline, and exact
+//! communication-volume accounting for both schemes. The §6.5 hybrid's
+//! one-group row split is [`balanced_ranges`] over the vertices.
 
 #![forbid(unsafe_code)]
 
-pub mod hybrid;
 pub mod hypergraph;
 pub mod snapshot_part;
 pub mod volume;
 
-pub use hybrid::HybridPartition;
 pub use hypergraph::{contiguous_renaming, partition, Hypergraph, PartitionerConfig};
 pub use snapshot_part::{balanced_ranges, SnapshotPartition, VertexChunks};
 pub use volume::{

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dgnn_telemetry::trace;
-use dgnn_tensor::{Csr, Dense};
+use dgnn_tensor::Dense;
 
 /// Message payloads the trainers exchange.
 #[derive(Clone, Debug)]
@@ -39,8 +39,6 @@ pub enum Payload {
     Dense(Dense),
     /// A flat float vector (gradient all-reduce).
     Floats(Vec<f32>),
-    /// A sparse matrix (snapshot shipping in the hybrid scheme).
-    Sparse(Csr),
     /// Synchronisation-only message.
     Empty,
 }
@@ -50,7 +48,6 @@ impl Payload {
         match self {
             Payload::Dense(d) => 4 * d.len() as u64,
             Payload::Floats(f) => 4 * f.len() as u64,
-            Payload::Sparse(s) => 20 * s.nnz() as u64,
             Payload::Empty => 0,
         }
     }
@@ -648,23 +645,6 @@ mod tests {
         // 0's parts[1] (= round + 100).
         assert_eq!(results[0], vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(results[1], vec![100.0, 101.0, 102.0, 103.0, 104.0]);
-    }
-
-    #[test]
-    fn sparse_payload_roundtrip() {
-        let results = run_ranks(2, |comm| {
-            if comm.rank() == 0 {
-                let m = Csr::from_edges(3, &[(0, 1), (2, 0)]);
-                comm.send_tagged(1, 1, Payload::Sparse(m));
-                0
-            } else {
-                match comm.recv_tagged(0, 1) {
-                    Payload::Sparse(m) => m.nnz(),
-                    _ => panic!(),
-                }
-            }
-        });
-        assert_eq!(results[1], 2);
     }
 
     #[test]

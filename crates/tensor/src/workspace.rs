@@ -24,16 +24,12 @@
 //! rank thread — rank threads never share buffers, so no synchronisation is
 //! needed). Nested engages reuse the outer arena: a streaming front-end can
 //! engage once and keep buffers warm across the per-window trainer calls.
-//! Setting `DGNN_WORKSPACE=0` disables reuse process-wide, and
-//! [`disable`] suppresses it for a scope (the benchmark baseline).
+//! [`disable`] suppresses reuse for a scope (the arena-off reference the
+//! bit-identity tests compare against).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Environment variable disabling buffer reuse when set to `0`.
-pub const ENV_WORKSPACE: &str = "DGNN_WORKSPACE";
 
 /// Arena capacity cap, in `f32` elements (64 Mi ≈ 256 MB). Buffers recycled
 /// beyond the cap are dropped, bounding worst-case retention when shapes
@@ -68,11 +64,6 @@ static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Buffers served from an engaged arena instead of the allocator.
 static REUSED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn env_enabled() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| std::env::var(ENV_WORKSPACE).map_or(true, |v| v.trim() != "0"))
-}
-
 /// Guard returned by [`engage`]; drops the thread's arena when the
 /// outermost guard goes out of scope.
 pub struct WorkspaceGuard {
@@ -89,10 +80,10 @@ impl Drop for WorkspaceGuard {
 }
 
 /// Engages a buffer workspace on this thread for the guard's lifetime.
-/// Nested engages share the outermost arena. Honors `DGNN_WORKSPACE=0`
-/// and [`disable`] scopes by engaging nothing (reuse simply stays off).
+/// Nested engages share the outermost arena. Honors [`disable`] scopes by
+/// engaging nothing (reuse simply stays off).
 pub fn engage() -> WorkspaceGuard {
-    let suppressed = !env_enabled() || SUPPRESSED.with(|s| *s.borrow() > 0);
+    let suppressed = SUPPRESSED.with(|s| *s.borrow() > 0);
     let outermost = DEPTH.with(|d| {
         let mut d = d.borrow_mut();
         *d += 1;

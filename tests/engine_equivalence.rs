@@ -11,7 +11,10 @@
 
 mod common;
 
-use common::{assert_dist_golden, HYBRID_GOLDEN, TIME_GOLDEN, VERTEX_GOLDEN};
+use common::{
+    assert_dist_golden, HYBRID_GOLDEN, HYBRID_GOLDEN_P3, HYBRID_GOLDEN_P4, TIME_GOLDEN,
+    VERTEX_GOLDEN,
+};
 use dgnn_autograd::ParamStore;
 use dgnn_core::classification::train_single_classification;
 use dgnn_core::prelude::*;
@@ -144,22 +147,30 @@ fn time_partitioned_matches_pre_engine_trainer() {
 
 #[test]
 fn hybrid_matches_pre_engine_trainer() {
-    for (kind, golden) in ModelKind::all().into_iter().zip(&HYBRID_GOLDEN) {
-        let g = dgnn_graph::gen::churn(20, 6, 80, 0.3, 5);
-        let raw = g.time_slice(0, 5);
-        let next = g.snapshot(5).clone();
-        let run = train_hybrid_digest(
-            &raw,
-            &next,
-            small_cfg(kind),
-            &TaskOptions {
-                precompute_first_layer: false,
-                ..Default::default()
-            },
-            &dist_opts(),
-            2,
-        );
-        assert_dist_golden(&format!("{kind:?} hybrid"), &run, golden);
+    let g = dgnn_graph::gen::churn(20, 6, 80, 0.3, 5);
+    let raw = g.time_slice(0, 5);
+    let next = g.snapshot(5).clone();
+    // The p = 3 and p = 4 goldens postdate the engine; `common` says when
+    // they were captured.
+    for (p, goldens) in [
+        (2, &HYBRID_GOLDEN),
+        (3, &HYBRID_GOLDEN_P3),
+        (4, &HYBRID_GOLDEN_P4),
+    ] {
+        for (kind, golden) in ModelKind::all().into_iter().zip(goldens) {
+            let run = train_hybrid_digest(
+                &raw,
+                &next,
+                small_cfg(kind),
+                &TaskOptions {
+                    precompute_first_layer: false,
+                    ..Default::default()
+                },
+                &dist_opts(),
+                p,
+            );
+            assert_dist_golden(&format!("{kind:?} hybrid, p = {p}"), &run, golden);
+        }
     }
 }
 

@@ -86,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Journaled == journal-less, bitwise, across churn rates ×
-    /// `DGNN_THREADS={1,4}` × `DGNN_WORKSPACE={0,1}` × all model kinds
+    /// `DGNN_THREADS={1,4}` × workspace engaged / disabled × all model kinds
     /// (each kind applies a different smoothing: only the raw CD-GCN
     /// timeline can carry blocks; edge-life and M-product ignore the
     /// journal and build from scratch).
