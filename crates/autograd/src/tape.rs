@@ -90,6 +90,12 @@ enum Op {
     /// The hidden-state output of the [`Op::LstmCell`] one node earlier,
     /// which propagates for both.
     LstmHidden,
+    /// Fused GCN layer tail `relu([skip |] lin + 1ᵀ·bias)`.
+    GcnTail {
+        skip: Option<Var>,
+        lin: Var,
+        bias: Var,
+    },
 }
 
 impl Op {
@@ -344,9 +350,11 @@ impl Tape {
     /// `labels` (length `S`, entries `< C`). Returns a `1x1` loss node.
     ///
     /// The per-row softmax runs row-parallel on the intra-rank pool (each
-    /// row is self-contained), then the loss accumulates serially in
-    /// ascending row order — the same f64 addition sequence as the serial
-    /// kernel, so the loss is bit-identical at every thread count.
+    /// row is self-contained, its `exp`s eight lanes at a time through
+    /// [`dgnn_tensor::lanes::exp_in_place`], which equals `f32::exp`), then
+    /// the loss accumulates serially in ascending row order — the same f64
+    /// addition sequence as the serial kernel, so the loss is bit-identical
+    /// at every thread count.
     pub fn softmax_cross_entropy(&mut self, logits: Var, labels: Rc<Vec<u32>>) -> Var {
         let z = self.value(logits);
         let (s, c) = z.shape();
@@ -360,12 +368,14 @@ impl Tape {
                 for (dr, prow) in block.chunks_mut(c).enumerate() {
                     let row = z.row(r0 + dr);
                     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    let mut denom = 0.0f32;
                     for (p, &v) in prow.iter_mut().zip(row) {
-                        let e = (v - max).exp();
-                        *p = e;
-                        denom += e;
+                        *p = v - max;
                     }
+                }
+                // `f32::exp` of the whole block in lanes, bit for bit.
+                dgnn_tensor::lanes::exp_in_place(block);
+                for prow in block.chunks_mut(c) {
+                    let denom = prow.iter().fold(0.0f32, |acc, &e| acc + e);
                     for p in prow {
                         *p /= denom;
                     }
@@ -420,6 +430,32 @@ impl Tape {
         let c = self.push(op, out.c, rg);
         let h = self.push(Op::LstmHidden, out.h, rg);
         (h, c)
+    }
+
+    /// Fused GCN layer tail `relu([skip |] lin + 1ᵀ·bias)`: the bias
+    /// broadcast, CD-GCN's optional skip concatenation of the aggregation
+    /// and the ReLU as one node and one row-parallel pass each way, in
+    /// place of three or four nodes and their temporaries.
+    ///
+    /// Every element is the unfused chain's expression: `(l + b).max(0.0)`
+    /// and `a.max(0.0)` forward; backward the ReLU mask `out > 0` (which
+    /// equals `in > 0` for every input, NaN included), so `d_lin` and the
+    /// skip's share are the chain's, and the bias gradient is their
+    /// [`Dense::sum_rows`]. The skip's share reaches it before the share
+    /// its own matmul sends, as in the chain, and is not computed when the
+    /// skip takes no gradient (a pre-aggregated first layer).
+    ///
+    /// # Panics
+    /// Panics when `bias` is not `1 × lin.cols()` or `skip` and `lin`
+    /// disagree on the row count.
+    pub fn gcn_tail(&mut self, skip: Option<Var>, lin: Var, bias: Var) -> Var {
+        let value = gcn_tail_forward(
+            skip.map(|s| self.value(s)),
+            self.value(lin),
+            self.value(bias),
+        );
+        let rg = skip.is_some_and(|s| self.rg(s)) || self.rg(lin) || self.rg(bias);
+        self.push(Op::GcnTail { skip, lin, bias }, value, rg)
     }
 
     /// Runs reverse-mode accumulation from the given `(variable, gradient)`
@@ -636,6 +672,19 @@ impl Tape {
             Op::LstmCell { .. } | Op::LstmHidden => {
                 unreachable!("the fused cell propagates through propagate_lstm_cell")
             }
+            Op::GcnTail { skip, lin, bias } => {
+                let (skip, lin, bias) = (skip.filter(|&s| self.rg(s)), *lin, *bias);
+                let skip_cols = self.nodes[i].value.cols() - self.value(lin).cols();
+                let (d_skip, d_lin) =
+                    gcn_tail_backward(g, &self.nodes[i].value, skip_cols, skip.is_some());
+                if let (Some(skip), Some(d_skip)) = (skip, d_skip) {
+                    self.accumulate(skip, d_skip);
+                }
+                if self.rg(bias) {
+                    self.accumulate(bias, d_lin.sum_rows());
+                }
+                self.accumulate(lin, d_lin);
+            }
         }
     }
 
@@ -694,6 +743,81 @@ impl Tape {
             .flatten()
             .for_each(workspace::recycle);
     }
+}
+
+/// Forward of [`Tape::gcn_tail`]: `[skip.max(0) | (lin + bias).max(0)]`.
+fn gcn_tail_forward(skip: Option<&Dense>, lin: &Dense, bias: &Dense) -> Dense {
+    let (n, cols) = lin.shape();
+    assert_eq!(bias.shape(), (1, cols), "gcn_tail: bias shape mismatch");
+    let skip_cols = skip.map_or(0, |s| {
+        assert_eq!(s.rows(), n, "gcn_tail: skip/lin row mismatch");
+        s.cols()
+    });
+    let width = skip_cols + cols;
+    let mut out = Dense::scratch(n, width);
+    let work = n.saturating_mul(width);
+    dgnn_tensor::pool::par_rows(out.data_mut(), width, work, |r0, block| {
+        for (dr, row) in block.chunks_exact_mut(width).enumerate() {
+            let r = r0 + dr;
+            let (head, tail) = row.split_at_mut(skip_cols);
+            if let Some(skip) = skip {
+                for (o, &a) in head.iter_mut().zip(skip.row(r)) {
+                    *o = a.max(0.0);
+                }
+            }
+            for ((o, &l), &b) in tail.iter_mut().zip(lin.row(r)).zip(bias.data()) {
+                *o = (l + b).max(0.0);
+            }
+        }
+    });
+    out
+}
+
+/// Backward of [`Tape::gcn_tail`] from the output gradient `g` and the
+/// output `out`, whose first `skip_cols` columns are the skip's: the masked
+/// `(d_skip, d_lin)`, `d_skip` only when `want_skip` and the skip has
+/// columns.
+fn gcn_tail_backward(
+    g: &Dense,
+    out: &Dense,
+    skip_cols: usize,
+    want_skip: bool,
+) -> (Option<Dense>, Dense) {
+    let (n, width) = out.shape();
+    let cols = width - skip_cols;
+    let mask = |dst: &mut [f32], g: &[f32], out: &[f32]| {
+        for ((d, &gv), &ov) in dst.iter_mut().zip(g).zip(out) {
+            *d = if ov > 0.0 { gv } else { 0.0 };
+        }
+    };
+    let mut d_lin = Dense::scratch(n, cols);
+    let work = n.saturating_mul(width);
+    if !want_skip || skip_cols == 0 {
+        dgnn_tensor::pool::par_rows(d_lin.data_mut(), cols, work, |r0, block| {
+            for (dr, dl) in block.chunks_exact_mut(cols).enumerate() {
+                let (g, out) = (g.row(r0 + dr), out.row(r0 + dr));
+                mask(dl, &g[skip_cols..], &out[skip_cols..]);
+            }
+        });
+        return (None, d_lin);
+    }
+    let mut d_skip = Dense::scratch(n, skip_cols);
+    dgnn_tensor::pool::par_rows_zip(
+        [d_skip.data_mut(), d_lin.data_mut()],
+        [skip_cols, cols],
+        work,
+        |r0, [ds, dl]| {
+            let rows = ds
+                .chunks_exact_mut(skip_cols)
+                .zip(dl.chunks_exact_mut(cols));
+            for (dr, (ds, dl)) in rows.enumerate() {
+                let (g, out) = (g.row(r0 + dr), out.row(r0 + dr));
+                mask(ds, &g[..skip_cols], &out[..skip_cols]);
+                mask(dl, &g[skip_cols..], &out[skip_cols..]);
+            }
+        },
+    );
+    (Some(d_skip), d_lin)
 }
 
 #[cfg(test)]
@@ -849,6 +973,91 @@ mod tests {
         assert_eq!(tape.grad(c_prev).unwrap().shape(), (3, 2));
         assert_eq!(tape.grad(gx).unwrap(), tape.grad(gh).unwrap());
         assert_eq!(tape.grad(bias).unwrap().shape(), (1, 8));
+    }
+
+    /// The `add_bias → [concat] → relu` chain [`Tape::gcn_tail`] replaced
+    /// — the bitwise reference it is tested against.
+    fn gcn_tail_unfused(tape: &mut Tape, skip: Option<Var>, lin: Var, bias: Var) -> Var {
+        let pre = tape.add_bias(lin, bias);
+        let cat = match skip {
+            Some(skip) => tape.concat_cols(skip, pre),
+            None => pre,
+        };
+        tape.relu(cat)
+    }
+
+    /// `rows × cols` values with `-0.0`, `+0.0`, NaN and `±∞` planted
+    /// among finite ones of both signs.
+    fn tail_operand(rows: usize, cols: usize, salt: usize) -> Dense {
+        let specials = [-0.0f32, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        Dense::from_fn(rows, cols, |r, c| {
+            let k = r * cols + c + salt;
+            if k.is_multiple_of(4) {
+                specials[(k / 4) % specials.len()]
+            } else {
+                ((k * 29 % 31) as f32 - 15.0) * 0.125
+            }
+        })
+    }
+
+    fn bits(d: &Dense) -> Vec<u32> {
+        d.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gcn_tail_is_bitwise_the_unfused_chain() {
+        // 700 rows engage the pool; `lin` is either a leaf holding the
+        // specials or the product `agg·w`, so that `agg` takes the tail's
+        // share and then the matmul's.
+        let (n, ca, cb) = (700usize, 5usize, 6usize);
+        let agg_val = tail_operand(n, ca, 1);
+        let w_val = tail_operand(ca, cb, 2).map(|v| if v.is_finite() { v } else { 0.5 });
+        let lin_val = tail_operand(n, cb, 3);
+        let b_val = tail_operand(1, cb, 4);
+        for skip_concat in [false, true] {
+            for agg_grad in [false, true] {
+                for lin_is_product in [false, true] {
+                    let run = |fused: bool| {
+                        let mut tape = Tape::new();
+                        let agg = if agg_grad {
+                            tape.input(agg_val.clone())
+                        } else {
+                            tape.constant(agg_val.clone())
+                        };
+                        let w = tape.input(w_val.clone());
+                        let lin = if lin_is_product {
+                            tape.matmul(agg, w)
+                        } else {
+                            tape.input(lin_val.clone())
+                        };
+                        let b = tape.input(b_val.clone());
+                        let skip = skip_concat.then_some(agg);
+                        let y = if fused {
+                            tape.gcn_tail(skip, lin, b)
+                        } else {
+                            gcn_tail_unfused(&mut tape, skip, lin, b)
+                        };
+                        let (rows, cols) = tape.value(y).shape();
+                        tape.backward(&[(y, tail_operand(rows, cols, 5))]);
+                        let grad = |v: Var| tape.grad(v).map(bits);
+                        let leaf_lin = (!lin_is_product).then(|| grad(lin));
+                        (bits(tape.value(y)), grad(agg), grad(w), leaf_lin, grad(b))
+                    };
+                    let what = format!(
+                        "skip {skip_concat}, agg grad {agg_grad}, product {lin_is_product}"
+                    );
+                    let want = run(false);
+                    for threads in [1usize, 2, 4] {
+                        let _t = dgnn_tensor::pool::scoped_threads(Some(threads));
+                        assert_eq!(run(true), want, "{what}, {threads} threads");
+                    }
+                    assert_eq!(
+                        want.1.is_some(),
+                        agg_grad && (skip_concat || lin_is_product)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

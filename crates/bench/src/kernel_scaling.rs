@@ -136,7 +136,7 @@ fn assert_gemm_parity(a: &Dense, b: &Dense) {
     );
     assert!(
         bits_eq(&a.transpose().matmul_transa(b), &reference),
-        "packed matmul_transa diverges from matmul's bits"
+        "in-place matmul_transa diverges from matmul's bits"
     );
 }
 

@@ -1,6 +1,12 @@
 //! The Graph Convolutional Network layer (paper Eq. 2) with the optional
 //! skip concatenation of CD-GCN and support for externally supplied
 //! (evolved) weights for EvolveGCN.
+//!
+//! A layer is three tape nodes: the SpMM aggregation `Ã·X` (skipped when
+//! it is pre-computed), the GEMM `Ã·X·W`, and one fused tail
+//! ([`Tape::gcn_tail`]) for the bias, the skip concatenation and the ReLU,
+//! whose elements are bitwise those of the unfused
+//! `add_bias → [concat] → relu` chain.
 
 use std::rc::Rc;
 
@@ -90,7 +96,7 @@ impl GcnLayer {
 
     /// Forward for one snapshot with the bound weights.
     pub fn forward(&self, tape: &mut Tape, vars: GcnVars, a_hat: Rc<Csr>, x: Var) -> Var {
-        self.forward_with_weight(tape, vars.w, Some(vars.b), a_hat, x)
+        self.forward_with_weight(tape, vars.w, vars.b, a_hat, x)
     }
 
     /// Forward with an explicit weight variable (EvolveGCN's evolved `W_t`).
@@ -98,35 +104,25 @@ impl GcnLayer {
         &self,
         tape: &mut Tape,
         w: Var,
-        b: Option<Var>,
+        b: Var,
         a_hat: Rc<Csr>,
         x: Var,
     ) -> Var {
         let agg = tape.spmm(a_hat, x);
-        let lin = tape.matmul(agg, w);
-        let pre = match b {
-            Some(b) => tape.add_bias(lin, b),
-            None => lin,
-        };
-        if self.skip_concat {
-            let cat = tape.concat_cols(agg, pre);
-            tape.relu(cat)
-        } else {
-            tape.relu(pre)
-        }
+        self.tail(tape, agg, w, b)
     }
 
     /// Forward when the aggregation `Ã·X` has been pre-computed (paper
     /// §5.5's first-layer optimization): skips the SpMM.
     pub fn forward_preaggregated(&self, tape: &mut Tape, vars: GcnVars, agg: Var) -> Var {
-        let lin = tape.matmul(agg, vars.w);
-        let pre = tape.add_bias(lin, vars.b);
-        if self.skip_concat {
-            let cat = tape.concat_cols(agg, pre);
-            tape.relu(cat)
-        } else {
-            tape.relu(pre)
-        }
+        self.tail(tape, agg, vars.w, vars.b)
+    }
+
+    /// `σ([agg |] agg·W + b)`: the GEMM, then the bias, the optional skip
+    /// concatenation and the ReLU as one fused tape op.
+    fn tail(&self, tape: &mut Tape, agg: Var, w: Var, b: Var) -> Var {
+        let lin = tape.matmul(agg, w);
+        tape.gcn_tail(self.skip_concat.then_some(agg), lin, b)
     }
 }
 

@@ -254,7 +254,7 @@ impl<'m> Segment<'m> {
                 let w = weights[t - self.t_range.start];
                 // The static bias does not evolve (only W does in EGCN-O).
                 let b = self.gcn_vars[layer].bias();
-                self.model.gcn[layer].forward_with_weight(tape, w, Some(b), a_hat, x)
+                self.model.gcn[layer].forward_with_weight(tape, w, b, a_hat, x)
             }
             _ => self.model.gcn[layer].forward(tape, self.gcn_vars[layer], a_hat, x),
         }
@@ -274,9 +274,7 @@ impl<'m> Segment<'m> {
                 };
                 let w = weights[t - self.t_range.start];
                 let lin = tape.matmul(agg, w);
-                let b = self.gcn_vars[0].bias();
-                let pre = tape.add_bias(lin, b);
-                tape.relu(pre)
+                tape.gcn_tail(None, lin, self.gcn_vars[0].bias())
             }
             _ => self.model.gcn[0].forward_preaggregated(tape, self.gcn_vars[0], agg),
         }
@@ -422,7 +420,7 @@ impl<'m> Segment<'m> {
                 };
                 let w = weights[t - self.t_range.start];
                 let b = self.gcn_vars[layer].bias();
-                self.model.gcn[layer].forward_with_weight(tape, w, Some(b), a_local, x_stacked)
+                self.model.gcn[layer].forward_with_weight(tape, w, b, a_local, x_stacked)
             }
             _ => self.model.gcn[layer].forward(tape, self.gcn_vars[layer], a_local, x_stacked),
         }

@@ -5,11 +5,12 @@
 //! (`gemm_block`): the vectorizable i-k-j (axpy) order over
 //! `GEMM_KC`-row k-panels and `GEMM_JC`-wide column strips, with
 //! `GEMM_MR` output rows register-blocked per pass so one streamed strip
-//! of B feeds several accumulator rows. The transposed variants
-//! (`matmul_transa`, `matmul_transb`) pack the transposed operand once
-//! per call — an O(n²) tiled copy that buys the O(n³) loop contiguous,
-//! autovectorization-friendly accesses instead of a serial-dependency
-//! dot product down a strided column.
+//! of B feeds several accumulator rows. `matmul_transb` packs its
+//! transposed operand (the small weight) once per call — an O(n²) tiled
+//! copy that buys the O(n³) loop contiguous, autovectorization-friendly
+//! accesses instead of a serial-dependency dot product down a strided
+//! column. `matmul_transa` packs nothing: its `A` rows are columns of
+//! `self`, and a register quad reads four adjacent floats per `k`.
 //!
 //! Blocking is legal under the bit-identity rule because every
 //! `out[i][j]` still accumulates its `k` contributions serially, in
@@ -88,15 +89,74 @@ const GEMM_MR: usize = 4;
 /// `out` once per panel instead of once per k).
 const GEMM_NR: usize = 2 * simd::LANES;
 
-// The shared blocked GEMM core: accumulates `a_block (m×kk) · b (kk×n)`
-// into `out` (m×n), cache-blocked `GEMM_KC × GEMM_JC` with `GEMM_MR`-row
-// register blocking.
+/// How the GEMM core reads its `A` operand, the `m×kk` block whose rows are
+/// the output rows: readers of `A[i..i + 4][k]` and of `A[i][k]` by `k`,
+/// built once per row quad or row so their bounds are hoisted.
+trait AOperand {
+    /// `k ↦ A[i..i + GEMM_MR][k]`.
+    fn quad(&self, i: usize) -> impl Fn(usize) -> [f32; GEMM_MR];
+    /// `k ↦ A[i][k]`.
+    fn row(&self, i: usize) -> impl Fn(usize) -> f32;
+}
+
+/// `A` stored row-major, `kk` elements per row (`matmul`, `matmul_transb`).
+struct RowMajor<'a> {
+    a: &'a [f32],
+    kk: usize,
+}
+
+impl AOperand for RowMajor<'_> {
+    #[inline(always)]
+    fn quad(&self, i: usize) -> impl Fn(usize) -> [f32; GEMM_MR] {
+        let kk = self.kk;
+        let rows: [&[f32]; GEMM_MR] =
+            std::array::from_fn(|r| &self.a[(i + r) * kk..(i + r + 1) * kk]);
+        move |k| rows.map(|row| row[k])
+    }
+
+    #[inline(always)]
+    fn row(&self, i: usize) -> impl Fn(usize) -> f32 {
+        let row = &self.a[i * self.kk..(i + 1) * self.kk];
+        move |k| row[k]
+    }
+}
+
+/// `A` read in place as the transpose of a row-major matrix with `cols`
+/// columns, from its column `col0` on (`matmul_transa`): `A[i][k]` is
+/// `a[k][col0 + i]`, so one `k` of a row quad is four adjacent floats.
+struct Transposed<'a> {
+    a: &'a [f32],
+    cols: usize,
+    col0: usize,
+}
+
+impl AOperand for Transposed<'_> {
+    #[inline(always)]
+    fn quad(&self, i: usize) -> impl Fn(usize) -> [f32; GEMM_MR] {
+        let (a, cols, c) = (self.a, self.cols, self.col0 + i);
+        move |k| {
+            let q = &a[k * cols + c..k * cols + c + GEMM_MR];
+            std::array::from_fn(|r| q[r])
+        }
+    }
+
+    #[inline(always)]
+    fn row(&self, i: usize) -> impl Fn(usize) -> f32 {
+        let (a, cols, c) = (self.a, self.cols, self.col0 + i);
+        move |k| a[k * cols + c]
+    }
+}
+
+// The shared blocked GEMM core: accumulates `A (m×kk) · b (kk×n)` into
+// `out` (m×n), cache-blocked `GEMM_KC × GEMM_JC` with `GEMM_MR`-row
+// register blocking. Within one column strip every k-panel of `b` is
+// streamed once and reused by every row quad of the block.
 //
 // Bit-identity: every `out[i][j]` starts at `+0.0` and accumulates its
 // `k` contributions serially in increasing `k` with one `mul`+`add`
 // rounding per step — exactly the naive triple loop's scalar sequence —
-// so any blocking, and any row partition of this routine across pool
-// threads, yields identical bits.
+// so any blocking, any layout of `A`, and any row partition of this
+// routine across pool threads, yields identical bits.
 //
 // `skip_zeros` may only be set when every element of `b` is finite. A
 // `±0.0 · finite` product is `±0.0`, and adding `±0.0` to an
@@ -105,8 +165,8 @@ const GEMM_NR: usize = 2 * simd::LANES;
 // the skip is a pure optimisation for sparse-ish A. With a non-finite
 // `b` the caller must clear it so `0.0 · ∞ = NaN` propagates.
 //
-// Compiled twice (portable + AVX2) and runtime-dispatched; see
-// [`crate::simd`] for why the two compiles are bit-identical.
+// Compiled twice (portable + AVX2) and runtime-dispatched, once per layout
+// of `A`; see [`crate::simd`] for why the two compiles are bit-identical.
 simd::simd_dispatch!(fn gemm_block = gemm_block_impl / gemm_block_avx2(
     out: &mut [f32], a_block: &[f32], kk: usize, b: &[f32], n: usize, skip_zeros: bool
 ));
@@ -120,6 +180,29 @@ fn gemm_block_impl(
     n: usize,
     skip_zeros: bool,
 ) {
+    gemm_core(out, &RowMajor { a: a_block, kk }, kk, b, n, skip_zeros);
+}
+
+simd::simd_dispatch!(fn gemm_block_transa = gemm_block_transa_impl / gemm_block_transa_avx2(
+    out: &mut [f32], a: &[f32], cols: usize, col0: usize, b: &[f32], n: usize, skip_zeros: bool
+));
+
+#[inline(always)]
+fn gemm_block_transa_impl(
+    out: &mut [f32],
+    a: &[f32],
+    cols: usize,
+    col0: usize,
+    b: &[f32],
+    n: usize,
+    skip_zeros: bool,
+) {
+    let kk = a.len() / cols;
+    gemm_core(out, &Transposed { a, cols, col0 }, kk, b, n, skip_zeros);
+}
+
+#[inline(always)]
+fn gemm_core(out: &mut [f32], a: &impl AOperand, kk: usize, b: &[f32], n: usize, skip_zeros: bool) {
     out.fill(0.0);
     if n == 0 || kk == 0 {
         return;
@@ -134,19 +217,12 @@ fn gemm_block_impl(
                 let (q0, rest) = out[i * n..(i + GEMM_MR) * n].split_at_mut(n);
                 let (q1, rest) = rest.split_at_mut(n);
                 let (q2, q3) = rest.split_at_mut(n);
-                let a = [
-                    &a_block[i * kk..(i + 1) * kk],
-                    &a_block[(i + 1) * kk..(i + 2) * kk],
-                    &a_block[(i + 2) * kk..(i + 3) * kk],
-                    &a_block[(i + 3) * kk..(i + 4) * kk],
-                ];
-                micro_quad(q0, q1, q2, q3, a, k0, k1, b, n, j0, j1, skip_zeros);
+                micro_quad(q0, q1, q2, q3, a, i, k0, k1, b, n, j0, j1, skip_zeros);
                 i += GEMM_MR;
             }
             while i < m {
                 let q = &mut out[i * n..(i + 1) * n];
-                let a_row = &a_block[i * kk..(i + 1) * kk];
-                micro_row(q, a_row, k0, k1, b, n, j0, j1, skip_zeros);
+                micro_row(q, a, i, k0, k1, b, n, j0, j1, skip_zeros);
                 i += 1;
             }
         }
@@ -154,7 +230,8 @@ fn gemm_block_impl(
 }
 
 /// The `GEMM_MR × GEMM_NR` register micro-kernel: for four output rows
-/// (`q0..q3`, full `n`-wide row slices) and the column strip `j0..j1`,
+/// (`q0..q3`, full `n`-wide row slices; `A` rows `i..i + 4`) and the
+/// column strip `j0..j1`,
 /// accumulates the k-panel `k0..k1` with eight [`F32x8`] accumulators
 /// held in registers for the whole panel. Tiles cascade `GEMM_NR` → one
 /// vector → one partial vector (the `w < 8` columns a strip ends with,
@@ -171,7 +248,8 @@ fn micro_quad(
     q1: &mut [f32],
     q2: &mut [f32],
     q3: &mut [f32],
-    a: [&[f32]; GEMM_MR],
+    a: &impl AOperand,
+    i: usize,
     k0: usize,
     k1: usize,
     b: &[f32],
@@ -180,6 +258,7 @@ fn micro_quad(
     j1: usize,
     skip_zeros: bool,
 ) {
+    let quad = a.quad(i);
     let mut j = j0;
     while j1 - j >= GEMM_NR {
         let jh = j + simd::LANES;
@@ -192,7 +271,7 @@ fn micro_quad(
         let mut c30 = F32x8::load(&q3[j..]);
         let mut c31 = F32x8::load(&q3[jh..]);
         for k in k0..k1 {
-            let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
+            let [a0, a1, a2, a3] = quad(k);
             if skip_zeros && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                 continue;
             }
@@ -228,7 +307,7 @@ fn micro_quad(
         let mut c2 = F32x8::load(&q2[j..]);
         let mut c3 = F32x8::load(&q3[j..]);
         for k in k0..k1 {
-            let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
+            let [a0, a1, a2, a3] = quad(k);
             if skip_zeros && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                 continue;
             }
@@ -251,7 +330,7 @@ fn micro_quad(
         let mut c2 = F32x8::load_partial(&q2[j..], w);
         let mut c3 = F32x8::load_partial(&q3[j..], w);
         for k in k0..k1 {
-            let (a0, a1, a2, a3) = (a[0][k], a[1][k], a[2][k], a[3][k]);
+            let [a0, a1, a2, a3] = quad(k);
             if skip_zeros && a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
                 continue;
             }
@@ -269,13 +348,14 @@ fn micro_quad(
 }
 
 /// Single-row tail of the micro-kernel (output row counts not divisible
-/// by `GEMM_MR`); same column cascade and bit-identity argument as
-/// [`micro_quad`].
+/// by `GEMM_MR`): output row `q` is `A` row `i`; same column cascade and
+/// bit-identity argument as [`micro_quad`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_row(
     q: &mut [f32],
-    a_row: &[f32],
+    a: &impl AOperand,
+    i: usize,
     k0: usize,
     k1: usize,
     b: &[f32],
@@ -284,13 +364,14 @@ fn micro_row(
     j1: usize,
     skip_zeros: bool,
 ) {
+    let at = a.row(i);
     let mut j = j0;
     while j1 - j >= GEMM_NR {
         let jh = j + simd::LANES;
         let mut c0 = F32x8::load(&q[j..]);
         let mut c1 = F32x8::load(&q[jh..]);
         for k in k0..k1 {
-            let av = a_row[k];
+            let av = at(k);
             if skip_zeros && av == 0.0 {
                 continue;
             }
@@ -306,7 +387,7 @@ fn micro_row(
     if j1 - j >= simd::LANES {
         let mut c0 = F32x8::load(&q[j..]);
         for k in k0..k1 {
-            let av = a_row[k];
+            let av = at(k);
             if skip_zeros && av == 0.0 {
                 continue;
             }
@@ -319,7 +400,7 @@ fn micro_row(
         let w = j1 - j;
         let mut c0 = F32x8::load_partial(&q[j..], w);
         for k in k0..k1 {
-            let av = a_row[k];
+            let av = at(k);
             if skip_zeros && av == 0.0 {
                 continue;
             }
@@ -499,12 +580,15 @@ impl Dense {
         out
     }
 
-    /// Matrix product `selfᵀ * other`: packs `selfᵀ` once per call (a
-    /// tiled O(rows·cols) copy) and runs the same blocked row-parallel
-    /// core as [`Dense::matmul`], which streams contiguous rows instead
-    /// of strided columns. Per output element the `k` accumulation order
-    /// is unchanged, so the packing is bitwise invisible; zero-skip and
-    /// non-finite semantics are exactly [`Dense::matmul`]'s.
+    /// Matrix product `selfᵀ * other`, reading `self` in place: output
+    /// row `i` is column `i` of `self`, so a register quad's four `A`
+    /// values at one `k` are four adjacent floats of row `k`. Its outputs
+    /// are skinny (`self` is `n×f` against `n×h` gradients), so the pool
+    /// hands each thread one block of whole quads and each thread streams
+    /// `other` once. Per output element the `k` accumulation order is
+    /// [`Dense::matmul`]'s, so the result is bitwise the explicit
+    /// `self.transpose().matmul(other)`; zero-skip and non-finite
+    /// semantics are exactly [`Dense::matmul`]'s.
     ///
     /// # Panics
     /// Panics when the row counts disagree — validated up front, before
@@ -512,16 +596,12 @@ impl Dense {
     pub fn matmul_transa(&self, other: &Dense) -> Dense {
         assert_eq!(self.rows, other.rows, "matmul_transa shape mismatch");
         let (kk, n) = (self.rows, other.cols);
-        let at = self.transpose();
         let mut out = Dense::scratch(self.cols, n);
         let skip = allow_zero_skip(self.cols, &other.data);
         let work = kk.saturating_mul(self.cols).saturating_mul(n);
-        pool::par_rows(&mut out.data, n, work, |i0, block| {
-            let rows = block.len() / n;
-            let a_block = &at.data[i0 * kk..(i0 + rows) * kk];
-            gemm_block(block, a_block, kk, &other.data, n, skip);
+        pool::par_row_groups(&mut out.data, n, GEMM_MR, work, |i0, block| {
+            gemm_block_transa(block, &self.data, self.cols, i0, &other.data, n, skip);
         });
-        workspace::recycle(at);
         out
     }
 

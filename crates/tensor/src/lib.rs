@@ -18,6 +18,7 @@
 pub mod dense;
 pub mod digest;
 pub mod init;
+pub mod lanes;
 pub mod lstm;
 #[allow(unsafe_code)]
 pub mod pool;

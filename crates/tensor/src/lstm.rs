@@ -11,15 +11,23 @@
 //!
 //! # Bit-identity
 //!
-//! Every output element is one thread evaluating the chain's scalar
-//! expressions in the chain's order: pre-activation `(gx + gh) + b`,
-//! sigmoid `1.0 / (1.0 + (-v).exp())`, `f32::tanh`, `c = f·c_prev + i·g`,
+//! Every output element evaluates the chain's scalar expressions in the
+//! chain's order: pre-activation `(gx + gh) + b`, sigmoid
+//! `1.0 / (1.0 + (-v).exp())`, `f32::tanh`, `c = f·c_prev + i·g`,
 //! `h = o·tanh(c)`; backward `gv * yv * (1.0 - yv)` and
 //! `gv * (1.0 - yv * yv)`. The chain assembled `d_pre` by adding four
 //! zero-padded strips, which stored `0.0 + v` into every column (so a
 //! `-0.0` gradient landed as `+0.0`); the fused backward writes `0.0 + v`
 //! too. Rows never interact, so any row partition yields the same bits.
+//!
+//! The forward's activations run eight rows at a time: the lanes of one
+//! [`F32x8`] are eight consecutive rows of one gate column, each a
+//! different output element, through the [`crate::lanes`] functions,
+//! which equal `f32::tanh` / `f32::exp` bit for bit. A block's last rows
+//! (fewer than eight) fill the low lanes of a partial vector. The kernel
+//! is compiled twice, portable and AVX2+FMA, like the GEMM core.
 
+use crate::simd::{self, F32x8, LANES};
 use crate::{pool, Dense};
 
 /// Gates per cell; the fused `n×4h` matrices hold them as `[i f g o]`.
@@ -45,9 +53,64 @@ fn cell_work(gate_elems: usize) -> usize {
     gate_elems.saturating_mul(pool::PAR_MIN_ROW_WORK / pool::PAR_MIN_ELEMS)
 }
 
+// The forward over one block of rows: `gx`, `gh`, `c_prev` and the four
+// outputs `[gates, tanh_c, c, h]` are that block's rows, `bias` the `1×4h`
+// row.
+simd::simd_dispatch!(fn cell_forward_rows = cell_forward_rows_impl / cell_forward_rows_avx2(
+    gx: &[f32],
+    gh: &[f32],
+    bias: &[f32],
+    c_prev: &[f32],
+    out: [&mut [f32]; 4]
+));
+
 #[inline(always)]
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
+fn cell_forward_rows_impl(
+    gx: &[f32],
+    gh: &[f32],
+    bias: &[f32],
+    c_prev: &[f32],
+    out: [&mut [f32]; 4],
+) {
+    let [gates, tanh_c, c, h] = out;
+    let w = bias.len();
+    let hid = w / GATES;
+    let rows = gates.len() / w;
+    for r0 in (0..rows).step_by(LANES) {
+        let lanes = (rows - r0).min(LANES);
+        for (j, &b) in bias.iter().enumerate() {
+            let mut pre = F32x8::ZERO;
+            for l in 0..lanes {
+                let at = (r0 + l) * w + j;
+                pre.0[l] = (gx[at] + gh[at]) + b;
+            }
+            // Gate order `[i f g o]`: only the candidate `g` takes tanh.
+            let act = if j / hid == 2 {
+                pre.tanh()
+            } else {
+                pre.sigmoid()
+            };
+            for l in 0..lanes {
+                gates[(r0 + l) * w + j] = act.0[l];
+            }
+        }
+        for j in 0..hid {
+            let mut cv = F32x8::ZERO;
+            for l in 0..lanes {
+                let g = &gates[(r0 + l) * w..(r0 + l + 1) * w];
+                let keep = g[hid + j] * c_prev[(r0 + l) * hid + j];
+                let write = g[j] * g[2 * hid + j];
+                cv.0[l] = keep + write;
+            }
+            let t = cv.tanh();
+            for l in 0..lanes {
+                let at = (r0 + l) * hid + j;
+                c[at] = cv.0[l];
+                tanh_c[at] = t.0[l];
+                h[at] = gates[(r0 + l) * w + 3 * hid + j] * t.0[l];
+            }
+        }
+    }
 }
 
 /// Fused LSTM cell forward from the two gate products `gx = x·Wx` and
@@ -72,7 +135,6 @@ pub fn lstm_cell_forward(gx: &Dense, gh: &Dense, b: &Dense, c_prev: &Dense) -> L
         gates: Dense::scratch(n, w),
         tanh_c: Dense::scratch(n, hid),
     };
-    let bias = b.data();
     pool::par_rows_zip(
         [
             out.gates.data_mut(),
@@ -82,38 +144,15 @@ pub fn lstm_cell_forward(gx: &Dense, gh: &Dense, b: &Dense, c_prev: &Dense) -> L
         ],
         [w, hid, hid, hid],
         cell_work(n * w),
-        |r0, [gates, tanh_c, c, h]| {
-            for (dr, gates) in gates.chunks_exact_mut(w).enumerate() {
-                let r = r0 + dr;
-                let (gx, gh) = (gx.row(r), gh.row(r));
-                for (k, gate) in gates.chunks_exact_mut(hid).enumerate() {
-                    let at = k * hid;
-                    let (gx, gh, bias) = (&gx[at..], &gh[at..], &bias[at..]);
-                    for (j, out) in gate.iter_mut().enumerate() {
-                        let pre = (gx[j] + gh[j]) + bias[j];
-                        // Gate order `[i f g o]`: only the candidate `g`
-                        // takes tanh.
-                        *out = if k == 2 { pre.tanh() } else { sigmoid(pre) };
-                    }
-                }
-                let (i, rest) = gates.split_at(hid);
-                let (f, rest) = rest.split_at(hid);
-                let (g, o) = rest.split_at(hid);
-                let c_prev = c_prev.row(r);
-                let block = dr * hid..(dr + 1) * hid;
-                let (tanh_c, c, h) = (
-                    &mut tanh_c[block.clone()],
-                    &mut c[block.clone()],
-                    &mut h[block],
-                );
-                for j in 0..hid {
-                    let keep = f[j] * c_prev[j];
-                    let write = i[j] * g[j];
-                    c[j] = keep + write;
-                    tanh_c[j] = c[j].tanh();
-                    h[j] = o[j] * tanh_c[j];
-                }
-            }
+        |r0, blocks| {
+            let rows = r0..r0 + blocks[0].len() / w;
+            cell_forward_rows(
+                &gx.data()[rows.start * w..rows.end * w],
+                &gh.data()[rows.start * w..rows.end * w],
+                b.data(),
+                &c_prev.data()[rows.start * hid..rows.end * hid],
+                blocks,
+            );
         },
     );
     out
@@ -201,9 +240,36 @@ mod tests {
         d.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Values that reach both flat ends of every gate, and both zeros.
+    /// [`bits`] with every NaN as the canonical one: where two NaNs of
+    /// opposite sign meet in a sum or product, which one survives depends
+    /// on the operand order codegen picks for the commutative operation,
+    /// which differs between the kernel and the chain's separate passes.
+    fn bits_mod_nan(d: &Dense) -> Vec<u32> {
+        d.data()
+            .iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    /// Values that reach both flat ends of every gate, both zeros, and the
+    /// inputs that cross every select of the lane `tanh` / `exp`: NaN,
+    /// ±∞, subnormals, ±22 and ±88.7.
     fn operand(rows: usize, cols: usize, salt: usize) -> Dense {
-        let specials = [0.0f32, -0.0, 1e4, -1e4];
+        let specials = [
+            0.0f32,
+            -0.0,
+            1e4,
+            -1e4,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            22.0,
+            -22.0,
+            88.7,
+            -88.7,
+        ];
         Dense::from_fn(rows, cols, |r, c| {
             let k = r * cols + c + salt;
             if k.is_multiple_of(3) {
@@ -224,7 +290,7 @@ mod tests {
         c_prev: &Dense,
         dh: Option<&Dense>,
         dc: Option<&Dense>,
-    ) -> (Dense, Dense, Dense, Dense) {
+    ) -> [Dense; 6] {
         let hid = c_prev.cols();
         let pre = gx.add(gh).add_row_broadcast(b);
         let sig = |d: Dense| d.map(|v| 1.0 / (1.0 + (-v).exp()));
@@ -263,14 +329,19 @@ mod tests {
         strip(d_tanh(&dc_total.hadamard(&i), &g), 2 * hid);
         strip(d_sig(&dc_total.hadamard(c_prev), &f), hid);
         strip(d_sig(&dc_total.hadamard(&g), &i), 0);
-        (h, c, d_pre.expect("three strips at least"), d_c_prev)
+        let gates = i.concat_cols(&f).concat_cols(&g).concat_cols(&o);
+        let d_pre = d_pre.expect("three strips at least");
+        [h, c, gates, tanh_c, d_pre, d_c_prev]
     }
 
     #[test]
     fn fused_kernels_are_bitwise_the_dense_op_chain() {
-        // 600 × 16 gate elements engage the pool at 2 and 4 threads.
-        for rows in [0usize, 1, 7, 600] {
-            let hid = 4;
+        // 600 × 16 gate elements engage the pool at 2 and 4 threads; the
+        // row counts around 8 cross the partial-vector remainder.
+        for (rows, hid) in [0usize, 1, 7, 8, 9, 600]
+            .into_iter()
+            .flat_map(|rows| [4usize, 6, 8].map(|hid| (rows, hid)))
+        {
             let gx = operand(rows, 4 * hid, 1);
             let gh = operand(rows, 4 * hid, 2);
             let b = operand(1, 4 * hid, 5);
@@ -278,18 +349,36 @@ mod tests {
             let dh = operand(rows, hid, 11);
             let dc = operand(rows, hid, 13);
             for (dh, dc) in [(Some(&dh), None), (None, Some(&dc)), (Some(&dh), Some(&dc))] {
-                let (h, c, d_pre, d_c_prev) = chain(&gx, &gh, &b, &c_prev, dh, dc);
+                let [h, c, gates, tanh_c, d_pre, d_c_prev] = chain(&gx, &gh, &b, &c_prev, dh, dc);
                 for threads in [1usize, 2, 4] {
                     let _t = pool::scoped_threads(Some(threads));
                     let out = lstm_cell_forward(&gx, &gh, &b, &c_prev);
-                    assert_eq!(bits(&out.h), bits(&h), "h, rows {rows}");
-                    assert_eq!(bits(&out.c), bits(&c), "c, rows {rows}");
+                    let what = format!("rows {rows}, hid {hid}, {threads} threads");
+                    // Each gate is a function of one pre-activation, so
+                    // even its NaNs are strict; `c` and what follows it
+                    // combine two operands.
+                    assert_eq!(bits(&out.gates), bits(&gates), "gates, {what}");
+                    assert_eq!(bits_mod_nan(&out.c), bits_mod_nan(&c), "c, {what}");
+                    assert_eq!(
+                        bits_mod_nan(&out.tanh_c),
+                        bits_mod_nan(&tanh_c),
+                        "tanh_c, {what}"
+                    );
+                    assert_eq!(bits_mod_nan(&out.h), bits_mod_nan(&h), "h, {what}");
                     let (got_pre, got_prev) =
                         lstm_cell_backward(dh, dc, &out.gates, &out.tanh_c, &c_prev);
                     // `-0.0` gradients must land as `+0.0`, as the strip
                     // sums left them.
-                    assert_eq!(bits(&got_pre), bits(&d_pre), "d_pre, rows {rows}");
-                    assert_eq!(bits(&got_prev), bits(&d_c_prev), "d_c_prev, rows {rows}");
+                    assert_eq!(
+                        bits_mod_nan(&got_pre),
+                        bits_mod_nan(&d_pre),
+                        "d_pre, {what}"
+                    );
+                    assert_eq!(
+                        bits_mod_nan(&got_prev),
+                        bits_mod_nan(&d_c_prev),
+                        "d_c_prev, {what}"
+                    );
                 }
             }
         }

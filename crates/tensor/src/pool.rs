@@ -478,7 +478,13 @@ pub fn par_rows<T: Send>(
     }
     let rows = data.len() / row_len;
     let engage = rows_parallel(rows, total_work);
-    dispatch_rows(data, row_len, engage, effective_threads(), f);
+    dispatch_rows(
+        data,
+        row_len,
+        engage,
+        claim_chunk(rows, effective_threads()),
+        f,
+    );
 }
 
 /// [`par_rows`] for memory-bound kernels (SpMM, transposes): engages
@@ -496,25 +502,57 @@ pub fn par_rows_membound<T: Send>(
     }
     let rows = data.len() / row_len;
     let engage = rows_parallel_membound(rows, total_work);
-    dispatch_rows(data, row_len, engage, membound_threads(), f);
+    dispatch_rows(
+        data,
+        row_len,
+        engage,
+        claim_chunk(rows, membound_threads()),
+        f,
+    );
+}
+
+/// [`par_rows`] with at most one block per thread, each block a whole
+/// number of `group`-row groups (bar the last): for kernels that stream a
+/// shared operand once per block — the skinny `aᵀ·g` of
+/// [`crate::Dense::matmul_transa`] — where every extra block is one more
+/// pass over it. Same engage gate and callback contract as [`par_rows`].
+pub fn par_row_groups<T: Send>(
+    data: &mut [T],
+    row_len: usize,
+    group: usize,
+    total_work: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if data.is_empty() || row_len == 0 {
+        return;
+    }
+    let (rows, group) = (data.len() / row_len, group.max(1));
+    let groups = rows.div_ceil(group);
+    let engage = rows_parallel(rows, total_work);
+    let per_block = groups.div_ceil(groups.min(effective_threads())) * group;
+    dispatch_rows(data, row_len, engage, per_block, f);
+}
+
+/// Rows per block for atomic claiming: a few blocks per thread, so
+/// claiming can balance skewed rows (e.g. power-law SpMM); boundaries
+/// never affect results.
+fn claim_chunk(rows: usize, threads: usize) -> usize {
+    rows.div_ceil(rows.min(threads * 4))
 }
 
 fn dispatch_rows<T: Send>(
     data: &mut [T],
     row_len: usize,
     engage: bool,
-    threads: usize,
+    rows_per_chunk: usize,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     debug_assert_eq!(data.len() % row_len, 0, "data is not whole rows");
     let rows = data.len() / row_len;
-    if !engage || threads <= 1 {
+    if !engage || rows_per_chunk >= rows {
         f(0, data);
         return;
     }
-    // A few chunks per thread so atomic claiming can balance skewed rows
-    // (e.g. power-law SpMM); boundaries never affect results.
-    let rows_per_chunk = rows.div_ceil(rows.min(threads * 4));
     let blocks: Vec<&mut [T]> = data.chunks_mut(rows_per_chunk * row_len).collect();
     run_blocks(blocks, |ci, block| f(ci * rows_per_chunk, block));
 }
@@ -657,6 +695,33 @@ mod tests {
             for r in 0..37 {
                 assert!(data[r * 3..(r + 1) * 3].iter().all(|&v| v == r as u32));
             }
+        }
+    }
+
+    #[test]
+    fn par_row_groups_hands_each_thread_whole_groups() {
+        // 37 rows in groups of 4: ten groups, the last one short.
+        for threads in [1usize, 2, 5, 16] {
+            let _g = scoped_threads(Some(threads));
+            let mut data = vec![0u32; 37 * 3];
+            let blocks = AtomicU64::new(0);
+            par_row_groups(&mut data, 3, 4, usize::MAX, |r0, block| {
+                blocks.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(r0 % 4, 0, "a block starts mid-group");
+                let rows = block.len() / 3;
+                assert!(rows % 4 == 0 || r0 + rows == 37, "a block ends mid-group");
+                for (dr, row) in block.chunks_mut(3).enumerate() {
+                    row.fill((r0 + dr) as u32);
+                }
+            });
+            for r in 0..37 {
+                assert_eq!(data[r * 3..(r + 1) * 3], [r as u32; 3]);
+            }
+            let blocks = blocks.load(Ordering::Relaxed) as usize;
+            assert!(
+                blocks <= threads.min(10),
+                "{blocks} blocks at {threads} threads"
+            );
         }
     }
 

@@ -1,29 +1,35 @@
 //! Portable f32 SIMD shim: an 8-lane vector type with bit-exact per-lane
-//! semantics, a runtime-dispatched AVX2 compile of each hot kernel, and a
-//! software-prefetch hint. Dependency-free; non-x86 targets and Miri take
+//! semantics, a runtime-dispatched AVX2+FMA compile of each hot kernel, and
+//! a software-prefetch hint. Dependency-free; non-x86 targets and Miri take
 //! the portable compile automatically.
 //!
 //! # Bit-identity by construction
 //!
 //! [`F32x8`] is a 32-byte-aligned `[f32; 8]` and every operation on it is a
 //! per-lane scalar loop: one IEEE mul and one IEEE add per accumulation
-//! step, never a fused multiply-add. (An FMA rounds once instead of twice
-//! and would change low-order bits, breaking every golden capture; Rust
-//! does not licence floating-point contraction, so `acc + a * b` stays an
-//! unfused mul-then-add in both compiles.) Kernels written against the
-//! type are compiled twice — once at the crate's baseline target features
-//! and once inside a `#[target_feature(enable = "avx2")]` wrapper, where
-//! LLVM lowers the 8-lane loops to 256-bit vector ops — and both compiles
-//! perform the same per-element arithmetic in the same order. The
-//! vectorized kernels therefore inherit the workspace determinism contract
-//! (golden captures, thread-count bit-equality) unchanged: lanes only ever
-//! span *different* output elements (adjacent output columns of one row);
-//! no output element's serial k/nnz accumulation order is altered.
+//! step. Kernels written against the type are compiled twice — once at the
+//! crate's baseline target features and once inside a
+//! `#[target_feature(enable = "avx2,fma")]` wrapper, where LLVM lowers the
+//! 8-lane loops to 256-bit vector ops — and both compiles perform the same
+//! per-element arithmetic in the same order. The vectorized kernels
+//! therefore inherit the workspace determinism contract (golden captures,
+//! thread-count bit-equality) unchanged: lanes only ever span *different*
+//! output elements — adjacent output columns of one row in the GEMM and
+//! SpMM kernels, consecutive rows of one gate column in the fused LSTM
+//! cell; no output element's serial k/nnz accumulation order is altered.
+//!
+//! The FMA feature does not fuse the f32 kernels. Rust never contracts
+//! `acc + a * b` into a fused multiply-add (which rounds once instead of
+//! twice and would change low-order bits), so the GEMM's mul-then-add
+//! stays unfused in both compiles. The only fused operations are the
+//! explicit f64 [`f64::mul_add`] calls of the lane `exp`
+//! ([`crate::lanes`]), which are exact in both compiles: one instruction
+//! here, a correctly rounded libm `fma` call in the portable compile.
 //!
 //! # Dispatch
 //!
 //! [`enabled`] resolves once per process: [`ENV_SIMD`]`=0` forces the
-//! portable compile, otherwise x86_64 hosts with AVX2 take the
+//! portable compile, otherwise x86_64 hosts with AVX2 and FMA take the
 //! `#[target_feature]` compile. The choice never affects produced values —
 //! CI runs the full equivalence suite under both settings against the same
 //! golden captures, which is a transitive bitwise SIMD/scalar parity
@@ -47,9 +53,9 @@ pub const LANES: usize = 8;
 /// 0 = none, 1 = forced portable, 2 = forced AVX2 (when the host has it).
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// True when the `#[target_feature(enable = "avx2")]` compiles of the
+/// True when the `#[target_feature(enable = "avx2,fma")]` compiles of the
 /// vectorized kernels are dispatched. False on non-x86_64 targets, under
-/// Miri, when the host lacks AVX2, or when [`ENV_SIMD`] is `0`.
+/// Miri, when the host lacks AVX2 or FMA, or when [`ENV_SIMD`] is `0`.
 ///
 /// Dispatch never affects produced bits — both compiles run identical
 /// per-element IEEE arithmetic — so this is purely a speed switch.
@@ -69,7 +75,7 @@ pub fn enabled() -> bool {
 
 /// Forces [`enabled`] on or off process-wide; `None` restores the default
 /// env + feature-detection resolution. `Some(true)` still requires host
-/// support — it cannot conjure AVX2 on a host without it.
+/// support — it cannot conjure AVX2 or FMA on a host without them.
 ///
 /// Test/bench hook for in-process SIMD-vs-scalar comparisons. Flipping it
 /// mid-kernel is harmless for correctness (both compiles are bit-identical)
@@ -85,13 +91,13 @@ pub fn force_enabled(on: Option<bool>) {
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-fn host_supported() -> bool {
+pub(crate) fn host_supported() -> bool {
     // Caches internally; cheap after the first call.
-    std::arch::is_x86_feature_detected!("avx2")
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-fn host_supported() -> bool {
+pub(crate) fn host_supported() -> bool {
     false
 }
 
@@ -120,7 +126,7 @@ pub fn prefetch_read(data: &[f32], i: usize) {
 /// Eight f32 lanes with strictly per-lane scalar semantics.
 ///
 /// Every operation is a plain `[f32; 8]` loop of IEEE single-precision
-/// scalar ops; inside a `#[target_feature(enable = "avx2")]` compile LLVM
+/// scalar ops; inside a `#[target_feature(enable = "avx2,fma")]` compile LLVM
 /// turns each into one 256-bit vector instruction with identical per-lane
 /// results. Loads from arbitrary `&[f32]` positions are unaligned and
 /// remain correct (and near-free on every AVX2 part).
@@ -218,34 +224,36 @@ impl std::ops::Mul for F32x8 {
 }
 
 /// Compiles a kernel body twice — portable and `#[target_feature(enable =
-/// "avx2")]` — and defines a dispatcher that picks at runtime via
+/// "avx2,fma")]` — and defines a dispatcher that picks at runtime via
 /// [`enabled`]. The body must be an `#[inline(always)]` fn so the
 /// target-feature wrapper actually recompiles it (rather than calling the
 /// baseline object code), which is what lets LLVM lower the [`F32x8`]
 /// loops to 256-bit instructions.
 ///
-/// Usage: `simd_dispatch!(fn name = impl_fn / avx2_name(arg: Ty, ...));`
+/// Usage: `simd_dispatch!(fn name = impl_fn / avx2_name(arg: Ty, ...));`,
+/// optionally preceded by doc comments for the dispatcher.
 ///
 /// The generated pair carries its own `#[allow(unsafe_code)]`, so the
 /// `unsafe` it needs is written here, once, and nowhere at the call sites.
 macro_rules! simd_dispatch {
-    ($vis:vis fn $name:ident = $imp:ident / $avx:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident = $imp:ident / $avx:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
         /// # Safety
-        /// The host must support AVX2 (`enabled()` checked it).
+        /// The host must support AVX2 and FMA (`enabled()` checked it).
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        #[target_feature(enable = "avx2")]
+        #[target_feature(enable = "avx2,fma")]
         #[allow(clippy::too_many_arguments, unsafe_code)]
         unsafe fn $avx($($arg: $ty),*) {
             $imp($($arg),*)
         }
 
+        $(#[$doc])*
         #[inline]
         #[allow(clippy::too_many_arguments, unsafe_code)]
         $vis fn $name($($arg: $ty),*) {
             #[cfg(all(target_arch = "x86_64", not(miri)))]
             if $crate::simd::enabled() {
                 // SAFETY: `enabled()` is true only after runtime feature
-                // detection confirmed AVX2 on this host.
+                // detection confirmed AVX2 and FMA on this host.
                 unsafe { $avx($($arg),*) };
                 return;
             }

@@ -227,6 +227,68 @@ fn gemm_column_tails_bitwise_equal_for_all_three_products() {
     }
 }
 
+/// `aᵀ·g` as the naive loop: every output element from `+0.0`, one
+/// mul-then-add per `k` in ascending `k`, no zero skip.
+fn ref_matmul_transa(a: &Dense, g: &Dense) -> Dense {
+    let n = g.cols();
+    let mut out = Dense::zeros(a.cols(), n);
+    for k in 0..a.rows() {
+        let g_row = g.row(k);
+        for (i, &av) in a.row(k).iter().enumerate() {
+            for (o, &gv) in out.row_mut(i).iter_mut().zip(g_row) {
+                *o += av * gv;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn skinny_transa_matches_the_naive_loop() {
+    // `matmul_transa` reads `a` in place, one block of whole register
+    // quads per thread. Output heights 1..=13 cross every quad remainder
+    // and 16, 17, 24 engage the zero skip (whole zero rows of `a` below);
+    // widths cross the vector and micro-tile tails; inner lengths cross
+    // the k-panel. Specials go in both operands; both compiles; 1, 2 and
+    // 4 threads.
+    let _lock = SIMD_OVERRIDE_LOCK.lock().unwrap();
+    let _restore = SimdRestore;
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+    let heights = (1usize..=13).chain([16, 17, 24]);
+    for c in heights {
+        for n in [1usize, 2, 6, 7, 8, 9, 16, 24, 33] {
+            for kk in [0usize, 1, 63, 64, 65, 4097] {
+                for plant in [&[][..], &specials[..]] {
+                    let mut a = exact_alloc(kk, c, 5, plant);
+                    for k in (0..kk).step_by(3) {
+                        a.row_mut(k).fill(0.0);
+                    }
+                    let g = exact_alloc(kk, n, 11, plant);
+                    let reference = ref_matmul_transa(&a, &g);
+                    for simd_on in [false, true] {
+                        simd::force_enabled(Some(simd_on));
+                        for threads in [1usize, 2, 4] {
+                            let _g = pool::scoped_threads(Some(threads));
+                            let got = a.matmul_transa(&g);
+                            let same = if plant.is_empty() {
+                                bits_eq(&got, &reference)
+                            } else {
+                                bits_eq_mod_nan_payload(&got, &reference)
+                            };
+                            assert!(
+                                same,
+                                "matmul_transa c={c} n={n} k={kk} specials={} \
+                                 simd={simd_on} threads={threads}",
+                                !plant.is_empty()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn spmm_remainder_lanes_bitwise_equal() {
     let a = pool_sized_csr();
