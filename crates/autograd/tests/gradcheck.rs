@@ -233,10 +233,10 @@ fn sum_all_grads() {
 /// the composite every model layer is built from.
 #[test]
 fn gcn_step_composite_grads() {
-    let adj = Rc::new(dgnn_tensor::normalized_laplacian(
-        &Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)]),
-        true,
-    ));
+    let adj = Rc::new(dgnn_tensor::normalized_laplacian(&Csr::from_edges(
+        5,
+        &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)],
+    )));
     let mut rng = rng();
     let mut store = ParamStore::new();
     let x = store.add("x", glorot_uniform(5, 3, &mut rng));

@@ -50,7 +50,7 @@ impl Snapshot {
 
     /// The symmetric-normalized Laplacian `Ã` of paper Eq. (1).
     pub fn laplacian(&self) -> Csr {
-        normalized_laplacian(&self.adj, true)
+        normalized_laplacian(&self.adj)
     }
 
     /// Renames vertices: edge `(u, v)` becomes `(perm[u], perm[v])`,

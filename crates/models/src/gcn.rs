@@ -135,10 +135,10 @@ mod tests {
     use rand::SeedableRng;
 
     fn laplacian() -> Rc<Csr> {
-        Rc::new(normalized_laplacian(
-            &Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-            true,
-        ))
+        Rc::new(normalized_laplacian(&Csr::from_edges(
+            5,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+        )))
     }
 
     #[test]

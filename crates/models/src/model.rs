@@ -489,7 +489,7 @@ mod tests {
     fn laplacians(n: usize, t: usize, seed: u64) -> Vec<Rc<Csr>> {
         let g = dgnn_graph::gen::churn(n, t, n * 2, 0.3, seed);
         (0..t)
-            .map(|ti| Rc::new(normalized_laplacian(g.snapshot(ti).adj(), true)))
+            .map(|ti| Rc::new(normalized_laplacian(g.snapshot(ti).adj())))
             .collect()
     }
 

@@ -10,11 +10,11 @@
 //!
 //! 1. *Locality of the operator.* Row `u` of the normalized Laplacian
 //!    `Ã[u, v] = a_uv · d(u)^{-1/2} · d(v)^{-1/2}` depends only on row `u`
-//!    of the (symmetric) adjacency and the degrees of `u` and its
-//!    neighbors. An edge touch changes adjacency rows and degrees of its
-//!    two endpoints only, so the set of changed `Ã` rows is contained in
-//!    `T ∪ N(T)` (touched vertices and their new neighborhood — a removed
-//!    edge's partner is itself touched).
+//!    of the symmetrized adjacency `½(A + Aᵀ)` — `u`'s out- and in-edges —
+//!    and the degrees of `u` and its neighbors. An edge touch changes the
+//!    rows and degrees of its two endpoints only, so the set of changed
+//!    `Ã` rows is contained in `T ∪ N(T)` (touched vertices and their new
+//!    neighborhood — a removed edge's partner is itself touched).
 //! 2. *Locality of the layers.* Layer output row `u` is a function of `Ã`
 //!    row `u` and the previous layer's rows at `u`'s neighbors, so the
 //!    dirty set expands by one hop per GCN layer:
@@ -31,20 +31,22 @@
 //! frontier machinery and recomputes every row from the refreshed
 //! operator — leg 3 with "frontier" read as "all rows".
 //!
-//! Events are ingested as **undirected interactions**: each event is
-//! applied to `(u, v)` and mirrored onto `(v, u)`, keeping the adjacency
-//! symmetric — which is also what makes the per-layer frontier expansion
-//! sound (out-neighbors and in-neighbors coincide). The serving operator
-//! normalizes this symmetric adjacency directly; it is the value-level
-//! analogue of the symmetrized training Laplacian, with the mirrored
-//! event stream playing the role of `(A + Aᵀ)`.
+//! Events are ingested as **directed edges**, exactly as sent: the session
+//! keeps the directed adjacency `A` and, beside it, its transpose `Aᵀ`, so
+//! row `u` of `½(A + Aᵀ)` is a merge of two sorted rows. Both the full and
+//! the incremental build go through `dgnn_tensor`'s row-level
+//! [`push_laplacian_row`], the one training's [`normalized_laplacian`]
+//! runs, so the served operator is bit for bit the `Snapshot::laplacian`
+//! of [`InferenceSession::graph`]'s materialization — the operator the
+//! model was trained on. Neighborhoods (`N(T)` and the per-layer
+//! expansions) are taken in `½(A + Aᵀ)`, i.e. over out- and in-edges.
 
 use dgnn_autograd::ParamStore;
 use dgnn_graph::{frontier, GraphDiff};
 use dgnn_models::{LinkPredHead, Model, ModelKind};
 use dgnn_stream::{DeltaBatcher, EdgeEvent, StreamingGraph};
 use dgnn_telemetry::trace;
-use dgnn_tensor::{pool, Csr, Dense};
+use dgnn_tensor::{laplacian_degree, normalized_laplacian, pool, push_laplacian_row, Csr, Dense};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 
@@ -273,8 +275,8 @@ pub fn score_links_with(
 pub struct AdvanceReport {
     /// Monotone snapshot version after the advance.
     pub version: u64,
-    /// The §3.2 graph difference this window shipped (subscription hook
-    /// for replicas / transfer accounting).
+    /// The §3.2 graph difference of the directed graph over this window
+    /// (subscription hook for replicas / transfer accounting).
     pub diff: GraphDiff,
     /// Vertices touched by the window's events.
     pub touched: usize,
@@ -290,7 +292,10 @@ pub struct AdvanceReport {
 pub struct InferenceSession {
     model: ServeModel,
     features: Dense,
+    /// The directed graph and its delta journal.
     batcher: DeltaBatcher,
+    /// The transpose of the batcher's graph: row `u` holds `u`'s in-edges.
+    transpose: StreamingGraph,
     /// `1/√(1 + deg(u))` per vertex, maintained alongside the graph.
     isd: Vec<f32>,
     /// The current normalized operator.
@@ -313,12 +318,18 @@ impl InferenceSession {
             model,
             features,
             batcher: DeltaBatcher::new(n),
+            transpose: StreamingGraph::new(n),
+            // The graph is empty: every degree is the self-loop's 1.
             isd: vec![1.0; n],
             a_hat: Csr::empty(n, n),
             acts: Vec::new(),
             version: 0,
         };
-        s.rebuild_full();
+        // Refreshing every row of the empty stale operator takes the
+        // structural path, which builds the whole operator.
+        let all: Vec<u32> = (0..n as u32).collect();
+        s.refresh_lap_rows(&all);
+        s.forward_all_rows();
         s
     }
 
@@ -337,7 +348,9 @@ impl InferenceSession {
         self.version
     }
 
-    /// The live (symmetrized) graph state.
+    /// The live directed graph: every ingested event applied once, as
+    /// sent. The served operator is `Snapshot::laplacian` of its
+    /// materialization.
     pub fn graph(&self) -> &StreamingGraph {
         self.batcher.graph()
     }
@@ -353,19 +366,18 @@ impl InferenceSession {
     }
 
     /// Ingests timestamped events (time-ordered, as a stream delivers
-    /// them). Each event is an undirected interaction: it is applied to
-    /// both `(u, v)` and `(v, u)`. Queries keep answering from the current
-    /// snapshot until [`InferenceSession::advance`] closes the window.
+    /// them). Each event is a directed edge: it is applied to the directed
+    /// graph as sent and, with its endpoints swapped, to the transpose.
+    /// Queries keep answering from the current snapshot until
+    /// [`InferenceSession::advance`] closes the window.
     pub fn ingest(&mut self, events: &[EdgeEvent]) {
         for ev in events {
             self.batcher.apply(ev);
-            if ev.src != ev.dst {
-                self.batcher.apply(&EdgeEvent {
-                    src: ev.dst,
-                    dst: ev.src,
-                    ..*ev
-                });
-            }
+            self.transpose.apply(&EdgeEvent {
+                src: ev.dst,
+                dst: ev.src,
+                ..*ev
+            });
         }
     }
 
@@ -396,14 +408,16 @@ impl InferenceSession {
 
         // Degrees changed only at touched vertices.
         for &u in &touched {
-            self.isd[u as usize] = inv_sqrt_deg(self.batcher.graph().row(u), u);
+            let [out, inn] = self.rows(u);
+            self.isd[u as usize] = laplacian_degree(u, out, inn).1;
         }
 
         // Ã rows needing rebuild: touched vertices and their (new)
         // neighborhood — a dropped edge's partner is itself touched.
-        let graph = self.batcher.graph();
-        let mut dirty =
-            frontier::expand(&touched, self.n(), |u| graph.row(u).iter().map(|&(c, _)| c));
+        let mut dirty = frontier::expand(&touched, self.n(), |u| {
+            let [out, inn] = self.rows(u);
+            out.chain(inn).map(|(c, _)| c)
+        });
         self.refresh_lap_rows(&dirty);
         if frontier::recompute_all(dirty.len(), self.n()) {
             self.forward_all_rows();
@@ -464,28 +478,7 @@ impl InferenceSession {
     /// layer's activations. This is what the cached state is contractually
     /// bit-identical to after each advance.
     pub fn full_forward(&self) -> Vec<Dense> {
-        let adj = self.batcher.graph().materialize();
-        let n = adj.rows();
-        // One scratch row buffer feeds the shared degree + row expressions
-        // in both passes — no per-row allocations in this timed baseline.
-        let mut row: Vec<(u32, f32)> = Vec::new();
-        let mut isd = vec![0f32; n];
-        for u in 0..n as u32 {
-            row.clear();
-            row.extend(adj.row_iter(u as usize));
-            isd[u as usize] = inv_sqrt_deg(&row, u);
-        }
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(adj.nnz() + n);
-        let mut values = Vec::with_capacity(adj.nnz() + n);
-        indptr.push(0);
-        for u in 0..n as u32 {
-            row.clear();
-            row.extend(adj.row_iter(u as usize));
-            push_lap_row(u, &row, &isd, &mut indices, &mut values);
-            indptr.push(indices.len());
-        }
-        let a_full = Csr::from_parts(n, n, indptr, indices, values);
+        let a_full = normalized_laplacian(&self.graph().materialize());
 
         let mut acts = Vec::with_capacity(self.model.layers());
         for l in 0..self.model.layers() {
@@ -512,18 +505,9 @@ impl InferenceSession {
         }
     }
 
-    /// Rebuilds the operator and every activation from scratch (session
-    /// open, or a fallback if a caller ever needs to resynchronize).
-    fn rebuild_full(&mut self) {
-        let n = self.n();
-        for u in 0..n as u32 {
-            self.isd[u as usize] = inv_sqrt_deg(self.batcher.graph().row(u), u);
-        }
-        // Refreshing with every row dirty rebuilds the whole operator (the
-        // stale one is empty, so the structural path is taken).
-        let all: Vec<u32> = (0..n as u32).collect();
-        self.refresh_lap_rows(&all);
-        self.forward_all_rows();
+    /// Row `u` of the directed graph and of its transpose.
+    fn rows(&self, u: u32) -> [impl Iterator<Item = (u32, f32)> + '_; 2] {
+        [self.graph().row(u), self.transpose.row(u)].map(|r| r.iter().copied())
     }
 
     /// Recomputes every row of every cached activation from the current
@@ -554,7 +538,7 @@ impl InferenceSession {
     /// sparsity untouched — the new values are patched **in place**, and
     /// the advance cost tracks the frontier instead of paying the
     /// O(n + nnz) whole-CSR splice. Structural edits fall back to the
-    /// splice. Either path writes exactly the bytes [`push_lap_row`]
+    /// splice. Either path writes exactly the bytes [`push_laplacian_row`]
     /// produces, so the bitwise contract is unaffected.
     fn refresh_lap_rows(&mut self, dirty: &[u32]) {
         // Build every rebuilt row once, into one scratch arena.
@@ -563,13 +547,8 @@ impl InferenceSession {
         let mut bounds: Vec<usize> = Vec::with_capacity(dirty.len() + 1);
         bounds.push(0);
         for &u in dirty {
-            push_lap_row(
-                u,
-                self.batcher.graph().row(u),
-                &self.isd,
-                &mut scratch_idx,
-                &mut scratch_val,
-            );
+            let [out, inn] = self.rows(u);
+            push_laplacian_row(u, out, inn, &self.isd, &mut scratch_idx, &mut scratch_val);
             bounds.push(scratch_idx.len());
         }
 
@@ -617,47 +596,6 @@ impl InferenceSession {
         }
         debug_assert_eq!(d, dirty.len(), "dirty rows must be sorted and in range");
         self.a_hat = Csr::from_parts(n, n, indptr, indices, values);
-    }
-}
-
-/// `1/√(1 + deg(u))`, where `deg` counts stored non-self neighbors — the
-/// `+1` is the operator's own self-loop. One shared expression for the
-/// full and incremental paths.
-fn inv_sqrt_deg(row: &[(u32, f32)], u: u32) -> f32 {
-    let has_self = row.binary_search_by_key(&u, |&(c, _)| c).is_ok();
-    let deg = 1 + row.len() - usize::from(has_self);
-    1.0 / (deg as f32).sqrt()
-}
-
-/// Appends row `u` of the normalized operator: every stored non-self
-/// neighbor scaled by `isd[u]·isd[v]`, plus the unit self-loop scaled by
-/// `isd[u]²`, in column order. Stored self-loops are ignored — the
-/// operator supplies the canonical unit one. One shared expression for
-/// the full and incremental paths.
-fn push_lap_row(
-    u: u32,
-    row: &[(u32, f32)],
-    isd: &[f32],
-    indices: &mut Vec<u32>,
-    values: &mut Vec<f32>,
-) {
-    let su = isd[u as usize];
-    let mut diag_done = false;
-    for &(c, w) in row {
-        if c == u {
-            continue;
-        }
-        if !diag_done && c > u {
-            indices.push(u);
-            values.push(su * su);
-            diag_done = true;
-        }
-        indices.push(c);
-        values.push(w * (su * isd[c as usize]));
-    }
-    if !diag_done {
-        indices.push(u);
-        values.push(su * su);
     }
 }
 
@@ -844,6 +782,110 @@ pub(crate) mod tests {
         s.advance();
         // Stored self-loops are ignored by the operator (unit loop wins).
         s.assert_matches_full();
+    }
+
+    /// The directed edge set a stream of events leaves, built without the
+    /// streaming graph: adds accumulate, updates overwrite or insert,
+    /// removes delete.
+    fn directed(n: usize, events: &[EdgeEvent]) -> Csr {
+        use dgnn_stream::EventKind;
+        let mut edges = std::collections::BTreeMap::new();
+        for ev in events {
+            let key = (ev.src, ev.dst);
+            match ev.kind {
+                EventKind::Add => {
+                    edges
+                        .entry(key)
+                        .and_modify(|w| *w += ev.weight)
+                        .or_insert(ev.weight);
+                }
+                EventKind::UpdateWeight => {
+                    edges.insert(key, ev.weight);
+                }
+                EventKind::Remove => {
+                    edges.remove(&key);
+                }
+            }
+        }
+        let triplets: Vec<(u32, u32, f32)> =
+            edges.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        Csr::from_coo(n, n, &triplets)
+    }
+
+    /// The served operator is training's `normalized_laplacian` of the
+    /// directed edge set, bit for bit, and the cache still matches the
+    /// full forward.
+    fn assert_serves_training_operator(s: &InferenceSession, adj: &Csr) {
+        let want = normalized_laplacian(adj);
+        assert_eq!(s.a_hat.indptr(), want.indptr(), "indptr");
+        assert_eq!(s.a_hat.indices(), want.indices(), "indices");
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&s.a_hat), bits(&want), "values");
+        s.assert_matches_full();
+    }
+
+    #[test]
+    fn snapshot_served_as_events_is_its_training_operator() {
+        let g = dgnn_graph::gen::churn(60, 3, 150, 0.2, 7);
+        let snap = g.snapshot(2);
+        let events: Vec<EdgeEvent> = snap
+            .adj()
+            .to_coo()
+            .into_iter()
+            .map(|(u, v, w)| EdgeEvent::add(0, u, v, w))
+            .collect();
+        let mut s = InferenceSession::new(tiny_model(3, 4, false), feats(60, 3));
+        s.ingest(&events);
+        s.advance();
+        assert_serves_training_operator(&s, snap.adj());
+        assert_eq!(&s.graph().materialize(), snap.adj());
+        assert_eq!(s.a_hat, s.graph().materialize_snapshot().laplacian());
+    }
+
+    #[test]
+    fn every_advance_serves_the_training_operator() {
+        let n = 16;
+        let windows: [&[EdgeEvent]; 3] = [
+            // Wide: twelve of sixteen rows dirty, so every row is rebuilt.
+            &[
+                EdgeEvent::add(0, 0, 1, 2.0),
+                EdgeEvent::add(0, 1, 0, 0.5),
+                EdgeEvent::add(0, 2, 3, 1.5),
+                EdgeEvent::add(0, 3, 2, 1.5),
+                EdgeEvent::add(0, 4, 5, -0.75),
+                EdgeEvent::add(0, 6, 6, 3.0),
+                EdgeEvent::add(0, 7, 8, 1.0),
+                EdgeEvent::add(0, 7, 8, 0.25),
+                EdgeEvent::add(0, 9, 10, 1.0),
+                EdgeEvent::add(0, 11, 7, 4.0),
+            ],
+            // Narrow: one direction of each two-way pair updated or
+            // removed, a self-loop added, a one-way edge removed.
+            &[
+                EdgeEvent::update(1, 0, 1, 3.0),
+                EdgeEvent::remove(1, 3, 2),
+                EdgeEvent::add(1, 1, 1, 5.0),
+                EdgeEvent::remove(1, 4, 5),
+            ],
+            // An update inserting an absent edge, a remove of an absent
+            // one, and the self-loop removed again.
+            &[
+                EdgeEvent::update(2, 12, 0, 0.125),
+                EdgeEvent::remove(2, 13, 14),
+                EdgeEvent::remove(2, 6, 6),
+            ],
+        ];
+        for skip in [false, true] {
+            let mut s = InferenceSession::new(tiny_model(2, 3, skip), feats(n, 2));
+            let mut seen = Vec::new();
+            for (i, window) in windows.iter().enumerate() {
+                s.ingest(window);
+                let r = s.advance();
+                assert_eq!(r.frontier_rows[0] == n, i == 0, "window {i}");
+                seen.extend_from_slice(window);
+                assert_serves_training_operator(&s, &directed(n, &seen));
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`Checkpoint`] — a versioned binary parameter format (magic, format
 //!   revision, shape table, CRC-32) whose failure modes are all typed
 //!   [`CheckpointError`]s; values round-trip bit-exactly.
-//! * [`InferenceSession`] — holds the live graph plus cached per-layer GCN
+//! * [`InferenceSession`] — holds the live directed graph, the Eq. (1)
+//!   operator training builds from it, and cached per-layer GCN
 //!   activations, and on each window advance recomputes only the
 //!   per-layer frontier reachable from the touched vertices. The cached
 //!   state is contractually **bit-identical** to a from-scratch forward

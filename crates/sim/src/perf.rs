@@ -228,8 +228,8 @@ fn activation_bytes_per_t(cfg: &PerfConfig, n: u64) -> (u64, u64) {
     let temporal: u64 = match cfg.model {
         // These widths describe the op-by-op LSTM chain. The fused cell op
         // now holds 15·h per step (two 4h gate products, the 4h
-        // activations, tanh(c), c, h); left as is until ROADMAP items 10
-        // and 7 calibrate this model against measured runs.
+        // activations, tanh(c), c, h); left as is until ROADMAP items 10,
+        // 14 and 7 calibrate this model against measured runs.
         ModelKind::CdGcn => shapes
             .iter()
             .map(|s| dense_bytes(chunk as usize, 4 * cfg.hidden + 8 * cfg.hidden + s.gcn_out))
@@ -391,7 +391,7 @@ pub fn estimate_epoch(cfg: &PerfConfig) -> PerfReport {
         // here (`compute_factor`, `passes`, `transfer_passes`) charge every
         // block; the engine no longer re-runs the last one, so the measured
         // rerun is (nb − 1)/nb of a forward. Left as is until ROADMAP items
-        // 10 and 7 calibrate this model against measured runs.
+        // 10, 14 and 7 calibrate this model against measured runs.
         let compute_factor = if checkpointed { 3.0 } else { 2.0 };
         match vertex_units {
             None => {

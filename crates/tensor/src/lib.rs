@@ -30,5 +30,5 @@ pub mod tensor3;
 pub mod workspace;
 
 pub use dense::Dense;
-pub use sparse::{normalized_laplacian, Csr};
+pub use sparse::{laplacian_degree, normalized_laplacian, push_laplacian_row, Csr};
 pub use tensor3::{m_banded, SparseTensor3, Tensor3};

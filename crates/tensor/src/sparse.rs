@@ -58,18 +58,6 @@ impl Csr {
         }
     }
 
-    /// The identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n as u32).collect(),
-            values: vec![1.0; n],
-            transpose_cache: OnceLock::new(),
-        }
-    }
-
     /// Builds a CSR matrix from COO triplets; duplicate positions are summed.
     pub fn from_coo(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
         let mut sorted: Vec<(u32, u32, f32)> = triplets.to_vec();
@@ -506,49 +494,102 @@ impl Csr {
 }
 
 /// The symmetric-normalized Laplacian `Ã = D^{-1/2} (A + I) D^{-1/2}` of
-/// paper Eq. (1), where `D[u,u] = 1 + deg(u)`.
-///
-/// The input adjacency is treated as undirected for degree purposes: the
-/// degree of `u` counts stored neighbors in row `u` of `A + Aᵀ` when
-/// `symmetrize` is set, otherwise just row `u` of `A`. The paper's datasets
-/// store directed interactions; the models symmetrize before normalizing.
-pub fn normalized_laplacian(adj: &Csr, symmetrize: bool) -> Csr {
+/// paper Eq. (1) over `A = ½(adj + adjᵀ)`: the paper's datasets store
+/// directed interactions, and the models symmetrize before normalizing.
+/// Two passes, degrees then values, through the row-level
+/// [`laplacian_degree`] and [`push_laplacian_row`] that serving also runs.
+pub fn normalized_laplacian(adj: &Csr) -> Csr {
     assert_eq!(adj.rows(), adj.cols(), "adjacency must be square");
-    let n = adj.rows();
-    // Strip any self-loops from the input: the "+ I" term below supplies the
-    // canonical unit self-loop, and double-counting would break the spectral
-    // bound of the normalized operator.
-    let no_loops = {
-        let triplets: Vec<(u32, u32, f32)> = adj
-            .to_coo()
-            .into_iter()
-            .filter(|&(r, c, _)| r != c)
-            .collect();
-        Csr::from_coo(n, n, &triplets)
-    };
-    let base = if symmetrize {
-        Csr::add_weighted(&[(0.5, &no_loops), (0.5, &no_loops.transpose())])
-    } else {
-        no_loops
-    };
-    let with_loops = Csr::add_weighted(&[(1.0, &base), (1.0, &Csr::identity(n))]);
-    // D[u,u] = 1 + deg(u) where deg counts structural neighbors (self-loop
-    // already contributes the "+1").
-    let mut inv_sqrt_deg = vec![0f32; n];
+    let (n, t) = (adj.rows(), adj.transpose());
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut isd = Vec::with_capacity(n);
+    indptr.push(0);
     for u in 0..n {
-        let deg: f32 = with_loops.row_iter(u).map(|_| 1.0).sum();
-        inv_sqrt_deg[u] = 1.0 / deg.max(1.0).sqrt();
+        let (deg, s) = laplacian_degree(u as u32, adj.row_iter(u), t.row_iter(u));
+        indptr.push(indptr[u] + deg);
+        isd.push(s);
     }
-    let mut out = with_loops;
-    for r in 0..n {
-        let lo = out.indptr[r];
-        let hi = out.indptr[r + 1];
-        for k in lo..hi {
-            let c = out.indices[k] as usize;
-            out.values[k] *= inv_sqrt_deg[r] * inv_sqrt_deg[c];
+    let nnz = indptr[n];
+    let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    for u in 0..n {
+        let (out, inn) = (adj.row_iter(u), t.row_iter(u));
+        push_laplacian_row(u as u32, out, inn, &isd, &mut indices, &mut values);
+    }
+    Csr::from_parts(n, n, indptr, indices, values)
+}
+
+/// Row `u` of `A + I` in column order, from row `u` of `adj` (`out`) and
+/// of `adjᵀ` (`inn`); a stored self-loop gives way to the unit one. A
+/// weight is `0.0 + ½·w_uv (+ ½·w_vu)`, the bits `Csr::add_weighted` gives
+/// `½adj + ½adjᵀ`: its `0.0` start maps `−0.0` to `+0.0`, and as no weight
+/// is then `−0.0`, adding `I` through `add_weighted` would change none.
+fn operator_row(
+    u: u32,
+    out: impl IntoIterator<Item = (u32, f32)>,
+    inn: impl IntoIterator<Item = (u32, f32)>,
+    mut emit: impl FnMut(u32, f32),
+) {
+    let (mut out, mut inn) = (out.into_iter(), inn.into_iter());
+    let (mut a, mut b) = (out.next(), inn.next());
+    let mut diag = true;
+    loop {
+        let c = match (a, b) {
+            (Some((x, _)), Some((y, _))) => x.min(y),
+            (Some((c, _)), None) | (None, Some((c, _))) => c,
+            (None, None) => break,
+        };
+        if diag && c > u {
+            emit(u, 1.0);
+            diag = false;
+        }
+        let mut w = 0.0;
+        if let Some((_, x)) = a.filter(|e| e.0 == c) {
+            w += 0.5 * x;
+            a = out.next();
+        }
+        if let Some((_, y)) = b.filter(|e| e.0 == c) {
+            w += 0.5 * y;
+            b = inn.next();
+        }
+        if c != u {
+            emit(c, w);
         }
     }
-    out
+    if diag {
+        emit(u, 1.0);
+    }
+}
+
+/// `(D[u,u], 1/√D[u,u])` with `D[u,u] = 1 + |N(u)|`, `N(u)` the out- and
+/// in-neighbors of `u` other than `u` (`out`, `inn` as for
+/// [`push_laplacian_row`]).
+pub fn laplacian_degree(
+    u: u32,
+    out: impl IntoIterator<Item = (u32, f32)>,
+    inn: impl IntoIterator<Item = (u32, f32)>,
+) -> (usize, f32) {
+    let mut deg = 0usize;
+    operator_row(u, out, inn, |_, _| deg += 1);
+    (deg, 1.0 / (deg as f32).sqrt())
+}
+
+/// Appends row `u` of [`normalized_laplacian`]: each entry `(c, w)` of row
+/// `u` of `A + I` becomes `w · (isd[u] · isd[c])`. `out` / `inn` are the
+/// column-sorted rows `u` of the directed adjacency and its transpose;
+/// `isd` holds every vertex's `1/√D` from [`laplacian_degree`].
+pub fn push_laplacian_row(
+    u: u32,
+    out: impl IntoIterator<Item = (u32, f32)>,
+    inn: impl IntoIterator<Item = (u32, f32)>,
+    isd: &[f32],
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f32>,
+) {
+    let su = isd[u as usize];
+    operator_row(u, out, inn, |c, w| {
+        indices.push(c);
+        values.push(w * (su * isd[c as usize]));
+    });
 }
 
 #[cfg(test)]
@@ -623,7 +664,7 @@ mod tests {
     #[test]
     fn laplacian_is_symmetric_with_unit_diagonal_scaling() {
         let a = sample();
-        let lap = normalized_laplacian(&a, true);
+        let lap = normalized_laplacian(&a);
         assert!(lap.is_symmetric(1e-6));
         // Diagonal entries are exactly 1/(1 + deg(u)).
         let degs = Csr::add_weighted(&[(0.5, &a), (0.5, &a.transpose())]).row_degrees();
@@ -641,11 +682,93 @@ mod tests {
         }
     }
 
+    /// Eq. (1) as whole-matrix kernels: strip the self-loops through COO,
+    /// `½A + ½Aᵀ`, add the identity, then scale every entry. The reference
+    /// the row builder must match bit for bit.
+    fn normalized_laplacian_unfused(adj: &Csr) -> Csr {
+        let n = adj.rows();
+        let no_loops = {
+            let triplets: Vec<(u32, u32, f32)> = adj
+                .to_coo()
+                .into_iter()
+                .filter(|&(r, c, _)| r != c)
+                .collect();
+            Csr::from_coo(n, n, &triplets)
+        };
+        let base = Csr::add_weighted(&[(0.5, &no_loops), (0.5, &no_loops.transpose())]);
+        let eye: Vec<(u32, u32, f32)> = (0..n as u32).map(|u| (u, u, 1.0)).collect();
+        let mut out = Csr::add_weighted(&[(1.0, &base), (1.0, &Csr::from_coo(n, n, &eye))]);
+        let mut inv_sqrt_deg = vec![0f32; n];
+        for u in 0..n {
+            let deg: f32 = out.row_iter(u).map(|_| 1.0).sum();
+            inv_sqrt_deg[u] = 1.0 / deg.max(1.0).sqrt();
+        }
+        for r in 0..n {
+            for k in out.indptr[r]..out.indptr[r + 1] {
+                let c = out.indices[k] as usize;
+                out.values[k] *= inv_sqrt_deg[r] * inv_sqrt_deg[c];
+            }
+        }
+        out
+    }
+
+    /// A directed weighted graph with self-loops, one- and two-way edges of
+    /// unequal weights, `±0.0` weights, and (every third seed) an isolated
+    /// last vertex; sparse seeds leave rows empty.
+    fn witness_graph(n: usize, seed: u64) -> Csr {
+        const WEIGHTS: [f32; 8] = [1.0, 0.5, -2.0, 0.0, -0.0, 3.25, 1e-3, -0.75];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let density = [2, 10, 40][seed as usize % 3];
+        let live = if seed.is_multiple_of(3) {
+            n.saturating_sub(1)
+        } else {
+            n
+        };
+        let mut triplets = Vec::new();
+        for u in 0..live as u32 {
+            for v in 0..live as u32 {
+                if next() % 100 < density {
+                    triplets.push((u, v, WEIGHTS[next() as usize % WEIGHTS.len()]));
+                }
+            }
+        }
+        if live >= 2 {
+            // Both directions negative zero: `½·(−0) + ½·(−0)` must land on
+            // `+0.0` as the reference's `0.0` accumulator start makes it.
+            triplets.retain(|&(r, c, _)| (r.min(c), r.max(c)) != (0, 1));
+            triplets.extend([(0, 1, -0.0), (1, 0, -0.0)]);
+        }
+        Csr::from_coo(n, n, &triplets)
+    }
+
+    #[test]
+    fn laplacian_rows_match_unfused_reference_bitwise() {
+        for n in [0usize, 1, 2, 7, 64] {
+            for seed in 0..9 {
+                let adj = witness_graph(n, seed);
+                let (got, want) = (
+                    normalized_laplacian(&adj),
+                    normalized_laplacian_unfused(&adj),
+                );
+                assert_eq!(got.indptr, want.indptr, "indptr, n = {n} seed {seed}");
+                assert_eq!(got.indices, want.indices, "indices, n = {n} seed {seed}");
+                let bits = |m: &Csr| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "values, n = {n} seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn laplacian_identity_graph() {
         // Graph with no edges: Ã = D^{-1/2} I D^{-1/2} = I (deg = 1).
         let a = Csr::empty(3, 3);
-        let lap = normalized_laplacian(&a, false);
+        let lap = normalized_laplacian(&a);
         assert_eq!(lap.to_coo(), vec![(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
     }
 

@@ -98,7 +98,7 @@ proptest! {
         // Ã = D^{-1/2}(A+I)D^{-1/2} is symmetric with eigenvalues in [-1, 1],
         // so |xᵀÃx| <= xᵀx for every vector x.
         let a = Csr::from_edges(10, &edges);
-        let lap = normalized_laplacian(&a, true);
+        let lap = normalized_laplacian(&a);
         prop_assert!(lap.is_symmetric(1e-5));
         let quad = x.transpose().matmul(&lap.spmm(&x)).get(0, 0);
         let norm2 = x.transpose().matmul(&x).get(0, 0);
