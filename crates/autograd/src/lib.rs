@@ -7,11 +7,12 @@
 //! dense matmul, sparse-constant SpMM, element-wise ops, activations, column
 //! concat/slice (LSTM gates, CD-GCN skip connections), row gather
 //! (link-prediction lookups), linear combinations (M-product), and fused
-//! softmax cross-entropy. Gradient checkpointing and distributed
-//! redistribution are realised *between* tapes by the trainers in
-//! `dgnn-core`: block outputs leave one tape as plain matrices and re-enter
-//! the next as [`Tape::input`] leaves, and incoming gradients are injected
-//! as [`Tape::backward`] seeds.
+//! softmax cross-entropy, and the three collectives of the distributed
+//! layouts ([`tape::collective`]), whose backward runs the mirror
+//! collective over a [`Communicator`]. Gradient checkpointing is realised
+//! *between* tapes by the trainers in `dgnn-core`: block carries leave one
+//! tape as plain matrices and re-enter the next as [`Tape::input`] leaves,
+//! and their gradients come back as [`Tape::backward`] seeds.
 
 #![forbid(unsafe_code)]
 
@@ -22,4 +23,4 @@ pub mod tape;
 
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
-pub use tape::{Tape, Var};
+pub use tape::{Communicator, RowRoute, Tape, Var};

@@ -3,27 +3,33 @@
 //!
 //! The original system relies on PyTorch autograd; this module reproduces the
 //! subset of it the three dynamic-GNN architectures need. One `Tape` holds
-//! one forward expression graph; [`Tape::backward`] seeds one or more output
-//! variables with gradients and accumulates into every reachable node.
-//! Cross-tape boundaries (gradient checkpointing blocks, all-to-all
-//! redistributions) are handled by the trainers: block outputs are extracted
-//! as plain matrices and re-enter the next tape as [`Tape::input`] leaves,
-//! while incoming gradients are injected as extra seeds.
+//! one forward expression graph; one [`Tape::backward`] call seeds one or
+//! more output variables with gradients and accumulates into every
+//! reachable node. The distributed layouts' collectives are tape ops too
+//! ([`collective`]), so that one call differentiates a whole distributed
+//! block, reverse collectives included. Only gradient-checkpointing block
+//! boundaries cross tapes: a block's carries leave its tape as plain
+//! matrices and re-enter the next as [`Tape::input`] leaves, and their
+//! gradients come back as seeds.
 //!
 //! # Gradient lifetime
 //!
 //! Only leaves keep their gradient. A non-leaf node's gradient is consumed
 //! by its propagation and returned to the workspace on the spot, so at most
 //! the gradients of the not-yet-propagated frontier are alive at any point
-//! of a sweep instead of one per node. [`Tape::grad`] is therefore `None`
-//! for every propagated non-leaf node; `input` and `param` leaves — the
-//! only gradients the trainers read — accumulate across sweeps as before.
+//! of the sweep instead of one per node. [`Tape::grad`] is therefore `None`
+//! for every non-leaf node after `backward`; `input` and `param` leaves are
+//! the only gradients the trainers read.
 
 use std::rc::Rc;
 
 use dgnn_tensor::{workspace, Csr, Dense};
 
 use crate::params::{ParamId, ParamStore};
+
+pub mod collective;
+
+pub use collective::{Communicator, RowRoute};
 
 /// A handle to a node on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,9 +82,9 @@ enum Op {
     },
     /// Fused LSTM cell: everything between the two gate products `gx`,
     /// `gh` and the new state. This node's value is the cell memory `c`;
-    /// the node right after it is its [`Op::LstmHidden`], whose value is
-    /// `h`. `gates` (`n×4h` activations `[i f g o]`) and `tanh_c` are
-    /// cached for the backward pass.
+    /// the node right after it is an [`Op::Output`] whose value is `h`.
+    /// `gates` (`n×4h` activations `[i f g o]`) and `tanh_c` are cached for
+    /// the backward pass.
     LstmCell {
         gx: Var,
         gh: Var,
@@ -87,15 +93,30 @@ enum Op {
         gates: Dense,
         tanh_c: Dense,
     },
-    /// The hidden-state output of the [`Op::LstmCell`] one node earlier,
-    /// which propagates for both.
-    LstmHidden,
+    /// An output of the multi-output node before it (a fused cell's `h`,
+    /// an all-to-all's parts), which propagates for all of its outputs.
+    Output,
     /// Fused GCN layer tail `relu([skip |] lin + 1ᵀ·bias)`.
     GcnTail {
         skip: Option<Var>,
         lin: Var,
         bias: Var,
     },
+    /// [`Tape::all_to_all`], valued `0×0`; its outputs follow it.
+    AllToAll {
+        inputs: Vec<Var>,
+        route: Rc<RowRoute>,
+        width: usize,
+        recv_rows: Vec<usize>,
+    },
+    /// [`Tape::exchange_rows`]; `recv_rows[q]` rows came from rank `q`.
+    ExchangeRows {
+        x: Var,
+        send_rows: Rc<Vec<Vec<u32>>>,
+        recv_rows: Vec<usize>,
+    },
+    /// [`Tape::all_gather`]; this rank's rows start at `offset`.
+    AllGather { x: Var, offset: usize },
 }
 
 impl Op {
@@ -115,22 +136,26 @@ impl Op {
             _ => Vec::new(),
         }
     }
+
+    /// The name of a collective op, `None` for every other op.
+    fn collective(&self) -> Option<&'static str> {
+        match self {
+            Op::AllToAll { .. } => Some("all_to_all"),
+            Op::ExchangeRows { .. } => Some("exchange_rows"),
+            Op::AllGather { .. } => Some("all_gather"),
+            _ => None,
+        }
+    }
 }
 
 struct Node {
     op: Op,
     value: Dense,
     requires_grad: bool,
-    propagated: bool,
 }
 
-/// A single-use forward/backward expression tape.
-///
-/// `backward` may be called several times on one tape with different seed
-/// sets — the staged-backward protocol of the distributed trainers, where
-/// gradient all-to-alls are interleaved with partial sweeps. A node is
-/// propagated at most once; seeding an already-propagated node is a bug and
-/// panics.
+/// A single-use forward/backward expression tape: record the forward, then
+/// make one [`Tape::backward`] call.
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Dense>>,
@@ -177,7 +202,6 @@ impl Tape {
             op,
             value,
             requires_grad,
-            propagated: false,
         });
         self.grads.push(None);
         Var(self.nodes.len() - 1)
@@ -192,7 +216,8 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of `v`, if any was produced by `backward`.
+    /// The gradient `backward` accumulated into `v`, if any reached it.
+    /// Only leaves keep theirs (see the module docs).
     pub fn grad(&self, v: Var) -> Option<&Dense> {
         self.grads[v.0].as_ref()
     }
@@ -405,12 +430,8 @@ impl Tape {
     /// `gh = h_prev·Wh` (`n×4h`, gates `[i f g o]`), the `1×4h` bias and
     /// the previous cell memory: returns `(h, c)` as two nodes, so either
     /// can be read, carried or seeded
-    /// ([`dgnn_tensor::lstm::lstm_cell_forward`] is the kernel).
-    ///
-    /// The two outputs propagate together, in the first `backward` call in
-    /// which either holds a gradient: every gradient of `h` *and* `c` must
-    /// arrive within that one call. Seeding either of them in a later call
-    /// panics, like any other seed on a propagated node.
+    /// ([`dgnn_tensor::lstm::lstm_cell_forward`] is the kernel). The two
+    /// outputs propagate together, once both have all their gradient.
     pub fn lstm_cell(&mut self, gx: Var, gh: Var, bias: Var, c_prev: Var) -> (Var, Var) {
         let out = dgnn_tensor::lstm::lstm_cell_forward(
             self.value(gx),
@@ -428,7 +449,7 @@ impl Tape {
             tanh_c: out.tanh_c,
         };
         let c = self.push(op, out.c, rg);
-        let h = self.push(Op::LstmHidden, out.h, rg);
+        let h = self.push(Op::Output, out.h, rg);
         (h, c)
     }
 
@@ -459,52 +480,54 @@ impl Tape {
     }
 
     /// Runs reverse-mode accumulation from the given `(variable, gradient)`
-    /// seeds. A plain scalar loss is seeded with `Dense::ones(1, 1)`.
+    /// seeds, once per tape. A plain scalar loss is seeded with
+    /// `Dense::ones(1, 1)` ([`Tape::backward_scalar`]).
     ///
-    /// Gradients accumulate across repeated calls on the same tape only if
-    /// the caller seeds disjoint sinks; typical use is a single call. Leaves
-    /// keep their gradient for [`Tape::grad`]; every other node's is
-    /// released once propagated (see the module docs).
-    pub fn backward(&mut self, seeds: &[(Var, Dense)]) {
+    /// `comm` runs the reverse collectives of the [`collective`] ops; a
+    /// tape that records one must be given it, or the sweep panics there.
+    /// Leaves keep their gradient for [`Tape::grad`]; every other node's
+    /// is released once propagated (see the module docs).
+    pub fn backward(&mut self, seeds: Vec<(Var, Dense)>, mut comm: Option<&mut dyn Communicator>) {
         for (v, g) in seeds {
             assert_eq!(
                 self.nodes[v.0].value.shape(),
                 g.shape(),
                 "seed gradient shape mismatch"
             );
-            assert!(
-                !self.nodes[v.0].propagated,
-                "seeding a node that was already propagated in an earlier \
-                 backward stage"
-            );
             match &mut self.grads[v.0] {
-                Some(acc) => acc.add_assign(g),
-                slot => *slot = Some(g.clone()),
+                Some(acc) => {
+                    acc.add_assign(&g);
+                    workspace::recycle(g);
+                }
+                slot => *slot = Some(g),
             }
         }
         for i in (0..self.nodes.len()).rev() {
-            if !self.nodes[i].requires_grad || self.nodes[i].propagated {
+            if !self.nodes[i].requires_grad {
                 continue;
             }
             match self.nodes[i].op {
-                // Waits for its cell node, which needs dh and dc together.
-                Op::LstmHidden => {}
+                // Their producer propagates for them.
+                Op::Leaf | Op::Output => {}
                 Op::LstmCell { .. } => {
                     let (dh, dc) = (self.grads[i + 1].take(), self.grads[i].take());
                     if dh.is_none() && dc.is_none() {
                         continue;
                     }
-                    self.nodes[i].propagated = true;
-                    self.nodes[i + 1].propagated = true;
                     self.propagate_lstm_cell(i, dh.as_ref(), dc.as_ref());
                     dh.into_iter().chain(dc).for_each(workspace::recycle);
                 }
-                Op::Leaf => self.nodes[i].propagated |= self.grads[i].is_some(),
-                _ => {
+                ref op => {
+                    if let Some(name) = op.collective() {
+                        let Some(comm) = comm.as_deref_mut() else {
+                            panic!("Tape::backward reached {name} without a communicator");
+                        };
+                        self.propagate_collective(i, comm);
+                        continue;
+                    }
                     let Some(g) = self.grads[i].take() else {
                         continue;
                     };
-                    self.nodes[i].propagated = true;
                     self.propagate(i, &g);
                     workspace::recycle(g);
                 }
@@ -512,23 +535,18 @@ impl Tape {
         }
     }
 
-    /// Convenience: backward from a scalar loss node with unit seed.
+    /// Convenience: backward from a scalar loss node with unit seed, on a
+    /// tape without collectives.
     pub fn backward_scalar(&mut self, loss: Var) {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be 1x1");
-        self.backward(&[(loss, Dense::ones(1, 1))]);
+        self.backward(vec![(loss, Dense::ones(1, 1))], None);
     }
 
     fn accumulate(&mut self, v: Var, delta: Dense) {
-        let node = &self.nodes[v.0];
-        if !node.requires_grad {
+        if !self.nodes[v.0].requires_grad {
             workspace::recycle(delta);
             return;
         }
-        assert!(
-            !node.propagated || matches!(node.op, Op::Leaf),
-            "a gradient reached a node whose own gradient was already \
-             propagated and released in an earlier backward stage"
-        );
         match &mut self.grads[v.0] {
             Some(acc) => acc.add_assign(&delta),
             slot => *slot = Some(delta),
@@ -669,8 +687,12 @@ impl Tape {
                 dz.scale_assign(gs / s as f32);
                 self.accumulate(logits, dz);
             }
-            Op::LstmCell { .. } | Op::LstmHidden => {
-                unreachable!("the fused cell propagates through propagate_lstm_cell")
+            Op::LstmCell { .. }
+            | Op::Output
+            | Op::AllToAll { .. }
+            | Op::ExchangeRows { .. }
+            | Op::AllGather { .. } => {
+                unreachable!("multi-output ops and collectives propagate on their own")
             }
             Op::GcnTail { skip, lin, bias } => {
                 let (skip, lin, bias) = (skip.filter(|&s| self.rg(s)), *lin, *bias);
@@ -903,7 +925,7 @@ mod tests {
         let x = tape.input(Dense::ones(2, 2));
         let y1 = tape.scale(x, 2.0);
         let y2 = tape.scale(x, 3.0);
-        tape.backward(&[(y1, Dense::ones(2, 2)), (y2, Dense::ones(2, 2))]);
+        tape.backward(vec![(y1, Dense::ones(2, 2)), (y2, Dense::ones(2, 2))], None);
         assert!(tape
             .grad(x)
             .unwrap()
@@ -927,34 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_gradient_accumulates_across_backward_stages() {
-        // The staged backward of the distributed strategies: seed, read a
-        // leaf, seed another sink, read again.
-        let mut tape = Tape::new();
-        let x = tape.input(Dense::ones(2, 2));
-        let y1 = tape.scale(x, 2.0);
-        let y2 = tape.scale(x, 3.0);
-        tape.backward(&[(y1, Dense::ones(2, 2))]);
-        assert_eq!(tape.grad(x).unwrap(), &Dense::full(2, 2, 2.0));
-        tape.backward(&[(y2, Dense::ones(2, 2))]);
-        assert_eq!(tape.grad(x).unwrap(), &Dense::full(2, 2, 5.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "already propagated and released")]
-    fn gradient_reaching_a_released_node_panics() {
-        // y was propagated (and its gradient released) by the first stage;
-        // a later stage that reaches it again would lose that gradient.
-        let mut tape = Tape::new();
-        let x = tape.input(Dense::ones(1, 2));
-        let y = tape.scale(x, 2.0);
-        let z1 = tape.scale(y, 3.0);
-        let z2 = tape.scale(y, 5.0);
-        tape.backward(&[(z1, Dense::ones(1, 2))]);
-        tape.backward(&[(z2, Dense::ones(1, 2))]);
-    }
-
-    #[test]
     fn lstm_cell_outputs_are_two_nodes_with_cached_activations() {
         let mut tape = Tape::new();
         let gx = tape.input(Dense::full(3, 8, 0.25));
@@ -968,7 +962,7 @@ mod tests {
         // h, c, tanh(c) and the 4h-wide gate activations.
         assert_eq!(tape.value_elems() - before, 3 * 2 * 3 + 3 * 8);
         // Only c is seeded: the cell still propagates, h's slot stays empty.
-        tape.backward(&[(c, Dense::ones(3, 2))]);
+        tape.backward(vec![(c, Dense::ones(3, 2))], None);
         assert!(tape.grad(h).is_none() && tape.grad(c).is_none());
         assert_eq!(tape.grad(c_prev).unwrap().shape(), (3, 2));
         assert_eq!(tape.grad(gx).unwrap(), tape.grad(gh).unwrap());
@@ -1038,7 +1032,7 @@ mod tests {
                             gcn_tail_unfused(&mut tape, skip, lin, b)
                         };
                         let (rows, cols) = tape.value(y).shape();
-                        tape.backward(&[(y, tail_operand(rows, cols, 5))]);
+                        tape.backward(vec![(y, tail_operand(rows, cols, 5))], None);
                         let grad = |v: Var| tape.grad(v).map(bits);
                         let leaf_lin = (!lin_is_product).then(|| grad(lin));
                         (bits(tape.value(y)), grad(agg), grad(w), leaf_lin, grad(b))
@@ -1058,6 +1052,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A one-rank group: every collective is the identity.
+    struct Solo;
+
+    impl Communicator for Solo {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn world(&self) -> usize {
+            1
+        }
+        fn all_to_all_dense(&mut self, parts: Vec<Dense>) -> Vec<Dense> {
+            parts
+        }
+        fn all_reduce_sum(&mut self, _data: &mut [f32]) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "all_gather without a communicator")]
+    fn collective_without_a_communicator_panics() {
+        let mut tape = Tape::new();
+        let x = tape.input(Dense::ones(2, 2));
+        let y = tape.all_gather(&mut Solo, x);
+        tape.backward(vec![(y, Dense::ones(2, 2))], None);
     }
 
     #[test]

@@ -365,8 +365,29 @@ fn two_tape_stitching_matches_single_tape() {
     t2.backward_scalar(loss2);
     let dh = t2.grad(h2).unwrap().clone();
 
-    t1.backward(&[(h1, dh)]);
+    t1.backward(vec![(h1, dh)], None);
     let stitched_dx = t1.grad(x1).unwrap().clone();
 
     assert!(stitched_dx.approx_eq(&ref_dx, 1e-6));
+}
+
+#[test]
+fn concat_rows_gradcheck() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut store = ParamStore::new();
+    let a = store.add("a", glorot_uniform(2, 3, &mut rng));
+    let b = store.add("b", glorot_uniform(4, 3, &mut rng));
+    dgnn_autograd::gradcheck::check_param_grads(
+        &mut store,
+        |tape, store| {
+            let av = tape.param(store, a);
+            let bv = tape.param(store, b);
+            let stacked = tape.concat_rows(&[av, bv]);
+            let y = tape.tanh(stacked);
+            tape.mean_all(y)
+        },
+        1e-2,
+        2e-2,
+    )
+    .unwrap();
 }

@@ -1,8 +1,8 @@
 //! The snapshot-partitioned distributed trainer (paper §4.2, Fig. 3) — a
 //! thin wrapper binding the
 //! `TimePartitioned` (`engine::time_part`) strategy
-//! to the shared execution engine; the layout and staged backward live in
-//! `crate::engine::time_part`.
+//! to the shared execution engine; the layout and its redistributions
+//! live in `crate::engine::time_part`.
 
 use dgnn_graph::{DynamicGraph, Snapshot};
 use dgnn_models::{LinkPredHead, Model, ModelConfig};

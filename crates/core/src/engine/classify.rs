@@ -6,12 +6,12 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use dgnn_autograd::{ParamStore, Tape, Var};
-use dgnn_models::{CarryGrads, CarryState, ClassificationHead, Model};
+use dgnn_models::{CarryState, ClassificationHead, Model};
 use dgnn_tensor::Dense;
 
 use crate::classification::ClassEpochStats;
 use crate::engine::source::TaskSource;
-use crate::engine::{dense_layer_walk, single_sweep_backward, BlockRun, ParallelStrategy};
+use crate::engine::{dense_layer_walk, BlockRun, ParallelStrategy};
 use crate::task::Task;
 
 /// Per-class recall counts.
@@ -160,20 +160,12 @@ impl<'m> ParallelStrategy<'m> for SingleRankClassification<'m> {
         BlockRun {
             tape,
             seg,
+            loss_weights: vec![1.0 / self.task.t as f32; loss_vars.len()],
             loss_vars,
             logit_vars,
             z_vars: feats,
             io: (),
         }
-    }
-
-    fn backward_block(
-        &mut self,
-        run: &mut BlockRun<'m, ()>,
-        _block: &Range<usize>,
-        carry_grads: Option<&CarryGrads>,
-    ) {
-        single_sweep_backward(run, self.task.t, carry_grads);
     }
 
     fn observe_block(

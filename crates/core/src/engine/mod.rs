@@ -6,16 +6,17 @@
 //! tape the forward pass hands over) on a fresh tape —
 //! specialised only by how timesteps and vertices are laid out across
 //! ranks. `run_engine` owns that loop once: the snapshot schedule, the
-//! forward/recompute/backward block order, optimizer stepping, carry
-//! bookkeeping, and workspace recycling. A `ParallelStrategy` supplies
-//! the parts that differ:
+//! forward/recompute/backward block order, each block's one
+//! `Tape::backward` call (loss seeds plus the carry gradients of the block
+//! above), optimizer stepping, carry bookkeeping, and workspace recycling.
+//! A `ParallelStrategy` supplies the parts that differ:
 //!
 //! * how one block runs forward on a tape (which timesteps this rank owns,
-//!   which `dgnn-sim` collectives move activations between layers);
-//! * how the backward sweeps are staged (one sweep for a single rank,
-//!   comm-interleaved stages for the distributed layouts);
-//! * how gradients are reduced across replicas and how per-epoch metrics
-//!   are assembled.
+//!   which collective tape ops move activations between layers — their
+//!   backward runs the reverse collectives inside that one call);
+//! * each loss's weight in the epoch loss, the communicator (whose
+//!   gradient all-reduce keeps replicas identical) and how per-epoch
+//!   metrics are assembled.
 //!
 //! The concrete strategies are `SingleRank` (`single_rank`)
 //! (paper §3), `TimePartitioned` (`time_part`, §4.2) and the one
@@ -43,7 +44,7 @@ pub(crate) mod vertex_part;
 
 use std::ops::Range;
 
-use dgnn_autograd::{Adam, Optimizer, ParamStore, Tape, Var};
+use dgnn_autograd::{Adam, Communicator, Optimizer, ParamStore, Tape, Var};
 use dgnn_graph::diff::chunk_transfer;
 use dgnn_models::{CarryGrads, CarryState, LayerCarry, Model, Segment};
 use dgnn_telemetry::trace;
@@ -105,18 +106,20 @@ pub fn checkpoint_blocks(train: &TrainOptions, t: usize) -> Vec<Range<usize>> {
 }
 
 /// The artifacts of one block run: the tape, the bound model segment, the
-/// per-owned-timestep loss/logit variables, the final-layer embeddings,
-/// and whatever per-layer bookkeeping the strategy's backward needs.
+/// per-owned-timestep loss/logit variables and loss weights, the
+/// final-layer embeddings, and whatever the strategy's metrics need.
 pub(crate) struct BlockRun<'m, Io> {
     pub tape: Tape,
     pub seg: Segment<'m>,
     /// Per-owned-timestep loss variables.
     pub loss_vars: Vec<Var>,
+    /// Each loss variable's weight in the epoch loss: its backward seed.
+    pub loss_weights: Vec<f32>,
     /// Per-owned-timestep logits variables (for accuracy).
     pub logit_vars: Vec<Var>,
     /// Final-layer embedding variables per owned timestep.
     pub z_vars: Vec<Var>,
-    /// Strategy-specific per-layer artifacts (comm bookkeeping).
+    /// Strategy-specific artifacts for the metrics.
     pub io: Io,
 }
 
@@ -130,7 +133,7 @@ impl<Io> BlockRun<'_, Io> {
 /// One rank's view of a parallel training layout. See the module docs for
 /// the division of labour between the engine loop and a strategy.
 pub(crate) trait ParallelStrategy<'m> {
-    /// Per-block strategy artifacts threaded from forward to backward.
+    /// Per-block strategy artifacts threaded from forward to the metrics.
     type Io;
     /// Per-epoch metric accumulator.
     type Stats: Default;
@@ -156,14 +159,11 @@ pub(crate) trait ParallelStrategy<'m> {
         carry_in: &CarryState,
     ) -> BlockRun<'m, Self::Io>;
 
-    /// Stages the backward sweeps of a re-run block: loss seeds, carry
-    /// seeds from the block above, and any reverse collectives.
-    fn backward_block(
-        &mut self,
-        run: &mut BlockRun<'m, Self::Io>,
-        block: &Range<usize>,
-        carry_grads: Option<&CarryGrads>,
-    );
+    /// The communicator of the block tapes' collectives and the epoch's
+    /// gradient all-reduce (none on one rank).
+    fn comm(&mut self) -> Option<&mut dyn Communicator> {
+        None
+    }
 
     /// Folds one forward block into the epoch accumulator and captures the
     /// final timestep's embeddings when this rank owns them.
@@ -174,9 +174,6 @@ pub(crate) trait ParallelStrategy<'m> {
         stats: &mut Self::Stats,
         last_z: &mut Option<Dense>,
     );
-
-    /// Reduces parameter gradients across replicas (no-op on one rank).
-    fn reduce_grads(&mut self, _store: &mut ParamStore) {}
 
     /// Assembles the epoch record (runs *after* the optimizer step, so
     /// held-out evaluation sees the updated parameters).
@@ -194,13 +191,15 @@ pub(crate) trait ParallelStrategy<'m> {
 }
 
 /// The checkpointed training loop (paper §3.1), shared by every strategy:
-/// forward over blocks storing carries, backward over blocks in reverse
-/// with carry-gradient seeds — the last block on the tape its forward run
-/// left, the others re-run first — gradient reduction, optimizer step,
-/// metrics. Engages a per-rank buffer workspace for the duration so
-/// steady-state epochs reuse tape scratch instead of allocating. Carries
-/// live in the in-memory [`source::MemoryCarryBank`]; the out-of-core
-/// entry points call [`run_engine_banked`] with a spilling bank instead.
+/// forward over blocks storing carries, backward over blocks in reverse —
+/// the last block on the tape its forward run left, the others re-run
+/// first — with one `Tape::backward` call each, seeded with the weighted
+/// losses and the carry gradients of the block above; then gradient
+/// reduction, optimizer step, metrics. Engages a per-rank buffer workspace
+/// for the duration so steady-state epochs reuse tape scratch instead of
+/// allocating. Carries live in the in-memory [`source::MemoryCarryBank`];
+/// the out-of-core entry points call [`run_engine_banked`] with a spilling
+/// bank instead.
 pub(crate) fn run_engine<'m, S: ParallelStrategy<'m>>(
     strategy: &mut S,
     store: &mut ParamStore,
@@ -267,7 +266,16 @@ pub(crate) fn run_engine_banked<'m, S: ParallelStrategy<'m>>(
                 run
             });
             let span = trace::span_cat("backward", "engine");
-            strategy.backward_block(&mut run, block, carry_grads.as_ref());
+            let mut seeds: Vec<(Var, Dense)> = run
+                .loss_vars
+                .iter()
+                .zip(&run.loss_weights)
+                .map(|(&lv, &w)| (lv, Dense::full(1, 1, w)))
+                .collect();
+            if let Some(cg) = &carry_grads {
+                seeds.extend(run.seg.carry_out_seeds(cg));
+            }
+            run.tape.backward(seeds, strategy.comm());
             run.tape.accumulate_param_grads(store);
             let next = run.seg.carry_in_grads(&run.tape);
             if let Some(old) = carry_grads.replace(next) {
@@ -283,7 +291,12 @@ pub(crate) fn run_engine_banked<'m, S: ParallelStrategy<'m>>(
         bank.finish_epoch();
 
         let span = trace::span_cat("optimizer", "engine");
-        strategy.reduce_grads(store);
+        if let Some(comm) = strategy.comm() {
+            // The gradient all-reduce keeps the replicas identical.
+            let mut flat = store.grads_flat();
+            comm.all_reduce_sum(&mut flat);
+            store.set_grads_from_flat(&flat);
+        }
         opt.step(store);
         phase.optimizer_us += span.finish_us();
         let mut rec = strategy.finish_epoch(stats, last_z.take(), store);
@@ -390,25 +403,4 @@ pub(crate) fn dense_layer_walk<'m>(
         feats = seg.temporal(tape, layer, 0, &spatial);
     }
     feats
-}
-
-/// Uniform `1/T` loss seeds plus the next block's carry gradients — the
-/// single-sweep backward of the single-rank layouts.
-pub(crate) fn single_sweep_backward<Io>(
-    run: &mut BlockRun<'_, Io>,
-    t_total: usize,
-    carry_grads: Option<&CarryGrads>,
-) {
-    let mut seeds: Vec<(Var, Dense)> = run
-        .loss_vars
-        .iter()
-        .map(|&lv| (lv, Dense::full(1, 1, 1.0 / t_total as f32)))
-        .collect();
-    if let Some(cg) = carry_grads {
-        seeds.extend(run.seg.carry_out_seeds(cg));
-    }
-    run.tape.backward(&seeds);
-    // `backward` clones its seed matrices onto the tape, so the originals
-    // can go back to the arena.
-    seeds.into_iter().for_each(|(_, d)| workspace::recycle(d));
 }

@@ -9,13 +9,11 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use dgnn_autograd::{ParamStore, Tape};
-use dgnn_models::{accuracy, CarryGrads, CarryState, LinkPredHead, Model};
+use dgnn_models::{accuracy, CarryState, LinkPredHead, Model};
 use dgnn_tensor::Dense;
 
 use crate::engine::source::SnapshotSource;
-use crate::engine::{
-    dense_layer_walk, single_sweep_backward, transfer_bytes, BlockRun, ParallelStrategy,
-};
+use crate::engine::{dense_layer_walk, transfer_bytes, BlockRun, ParallelStrategy};
 use crate::metrics::{EpochStats, PhaseBreakdown};
 use crate::task::Task;
 
@@ -48,6 +46,7 @@ pub(crate) fn run_block<'m>(
         tape,
         seg,
         loss_vars,
+        loss_weights: vec![1.0 / task.t as f32; block.len()],
         logit_vars,
         z_vars: feats,
         io: (),
@@ -138,15 +137,6 @@ impl<'m> ParallelStrategy<'m> for SingleRank<'m, '_> {
             block,
             carry_in,
         )
-    }
-
-    fn backward_block(
-        &mut self,
-        run: &mut BlockRun<'m, ()>,
-        _block: &Range<usize>,
-        carry_grads: Option<&CarryGrads>,
-    ) {
-        single_sweep_backward(run, self.task.t, carry_grads);
     }
 
     fn observe_block(

@@ -11,15 +11,14 @@
 //! evolves the (replicated) weight chain locally and only the epoch-end
 //! gradient all-reduce touches the network.
 //!
-//! The staged backward interleaves `Tape::backward` sweeps with the
-//! reverse all-to-alls; each stage's seeds land on nodes that no earlier
-//! stage has propagated (the tape enforces this).
+//! Both redistributions are `Tape::all_to_all` ops, so the engine's one
+//! backward call runs them reversed.
 
 use std::ops::Range;
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamStore, Tape, Var};
-use dgnn_models::{accuracy, CarryGrads, CarryState, LinkPredHead, Model, ModelKind};
+use dgnn_autograd::{Communicator, ParamStore, RowRoute, Tape, Var};
+use dgnn_models::{accuracy, CarryState, LinkPredHead, Model, ModelKind};
 use dgnn_partition::{balanced_ranges, VertexChunks};
 use dgnn_sim::{Comm, CommMark};
 use dgnn_tensor::{Csr, Dense};
@@ -27,31 +26,6 @@ use dgnn_tensor::{Csr, Dense};
 use crate::engine::{transfer_bytes, BlockRun, ParallelStrategy};
 use crate::metrics::{EpochStats, PhaseBreakdown};
 use crate::task::Task;
-
-/// Per-layer communication bookkeeping of one block run.
-pub(crate) struct LayerIo {
-    /// Spatial outputs for owned timesteps.
-    spatial: Vec<Var>,
-    /// Temporal inputs for every block timestep (this rank's vertex chunk).
-    b_in: Vec<Var>,
-    /// Temporal outputs for every block timestep.
-    b_out: Vec<Var>,
-    /// Reassembled temporal outputs for owned timesteps (next layer input).
-    c_in: Vec<Var>,
-}
-
-/// Vertical stack of row blocks `range` taken from `mats`, or an empty
-/// matrix of the given width.
-fn pack_rows(mats: &[&Dense], range: &Range<usize>, width: usize) -> Dense {
-    if mats.is_empty() || range.is_empty() {
-        return Dense::zeros(0, width);
-    }
-    let blocks: Vec<Dense> = mats
-        .iter()
-        .map(|m| m.row_block(range.start, range.len()))
-        .collect();
-    Dense::vstack(&blocks.iter().collect::<Vec<_>>())
-}
 
 /// The timesteps of `block` owned by each rank (contiguous split).
 pub(crate) fn owned_per_rank(block: &Range<usize>, p: usize) -> Vec<Vec<usize>> {
@@ -61,6 +35,46 @@ pub(crate) fn owned_per_rank(block: &Range<usize>, p: usize) -> Vec<Vec<usize>> 
         .collect()
 }
 
+/// The row routes of the two redistributions of `block` on `rank`, whose
+/// timesteps `owned_all` splits among the ranks: GCN outputs of the owned
+/// timesteps to vertex chunks of every block timestep, and temporal
+/// outputs (block order) back to the snapshot owners.
+pub(crate) fn redistribution_routes(
+    chunks: &VertexChunks,
+    owned_all: &[Vec<usize>],
+    rank: usize,
+    block: &Range<usize>,
+) -> [Rc<RowRoute>; 2] {
+    let chunks: Vec<Range<usize>> = (0..owned_all.len()).map(|q| chunks.range(q)).collect();
+    let (owned, my) = (owned_all[rank].len(), chunks[rank].len());
+    let to_chunks = RowRoute {
+        send: chunks
+            .iter()
+            .map(|c| (0..owned).map(|i| (i, c.clone())).collect())
+            .collect(),
+        gather: owned_all
+            .iter()
+            .enumerate()
+            .flat_map(|(q, ts)| (0..ts.len()).map(move |i| vec![(q, i * my..(i + 1) * my)]))
+            .collect(),
+    };
+    let to_owners = RowRoute {
+        send: owned_all
+            .iter()
+            .map(|ts| ts.iter().map(|&t| (t - block.start, 0..my)).collect())
+            .collect(),
+        gather: (0..owned)
+            .map(|i| {
+                let blocks = chunks.iter().enumerate();
+                blocks
+                    .map(|(q, c)| (q, i * c.len()..(i + 1) * c.len()))
+                    .collect()
+            })
+            .collect(),
+    };
+    [Rc::new(to_chunks), Rc::new(to_owners)]
+}
+
 /// Per-epoch link-prediction accumulator (fractional counts: ranks own
 /// sample subsets and the totals are all-reduced at epoch end).
 #[derive(Default)]
@@ -68,6 +82,50 @@ pub(crate) struct RankStats {
     pub loss_sum: f64,
     pub correct: f64,
     pub total: f64,
+}
+
+impl RankStats {
+    /// The epoch record of a distributed layout: the ranks' summed loss and
+    /// accuracy counts, held-out accuracy from the ranks that pass the last
+    /// embeddings `last_z`, and this rank's traffic since `mark`.
+    pub(crate) fn finish(
+        self,
+        comm: &mut Comm,
+        mark: CommMark,
+        (head, store, task): (&LinkPredHead, &ParamStore, &Task),
+        last_z: Option<Dense>,
+    ) -> EpochStats {
+        let mut agg = [
+            self.loss_sum as f32,
+            self.correct as f32,
+            self.total as f32,
+            0.0,
+            0.0,
+        ];
+        if let Some(z) = &last_z {
+            let logits = head.predict(store, z, &task.test);
+            let acc = accuracy(&logits, &task.test.labels);
+            agg[3] = (acc * task.test.labels.len() as f64) as f32;
+            agg[4] = task.test.labels.len() as f32;
+        }
+        comm.all_reduce_sum(&mut agg);
+        EpochStats {
+            loss: f64::from(agg[0]) / task.t as f64,
+            train_acc: f64::from(agg[1]) / f64::from(agg[2]).max(1.0),
+            test_acc: f64::from(agg[3]) / f64::from(agg[4]).max(1.0),
+            comm_bytes: comm.bytes_since(mark),
+            ..EpochStats::default()
+        }
+    }
+}
+
+/// `phase` with this rank's collective time since `mark`.
+pub(crate) fn comm_phase(phase: PhaseBreakdown, comm: &Comm, mark: CommMark) -> PhaseBreakdown {
+    PhaseBreakdown {
+        comm_us: comm.busy_us_since(mark),
+        comm_wait_us: comm.wait_us_since(mark),
+        ..phase
+    }
 }
 
 /// The snapshot-partitioned layout over `p` rank threads.
@@ -119,7 +177,7 @@ impl<'m, 'c> TimePartitioned<'m, 'c> {
 }
 
 impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
-    type Io = Vec<LayerIo>;
+    type Io = ();
     type Stats = RankStats;
     type EpochOut = EpochStats;
 
@@ -140,20 +198,22 @@ impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
         self.epoch_mark = Some(self.comm.mark());
     }
 
+    fn comm(&mut self) -> Option<&mut dyn Communicator> {
+        Some(&mut *self.comm)
+    }
+
     fn forward_block(
         &mut self,
         store: &ParamStore,
         block: Range<usize>,
         carry_in: &CarryState,
-    ) -> BlockRun<'m, Vec<LayerIo>> {
-        let comm = &mut *self.comm;
+    ) -> BlockRun<'m, ()> {
         let task = self.task;
-        let rank = comm.rank();
-        let p = comm.world();
         let cfg = *self.model.config();
+        let (rank, p) = (self.comm.rank(), self.comm.world());
         let owned_all = owned_per_rank(&block, p);
         let owned = owned_all[rank].clone();
-        let my_range = self.chunks.range(rank);
+        let [to_chunks, to_owners] = redistribution_routes(&self.chunks, &owned_all, rank, &block);
 
         let mut tape = Tape::new();
         let mut seg = self
@@ -170,7 +230,6 @@ impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
             })
             .collect();
 
-        let mut layers_io = Vec::with_capacity(cfg.layers());
         for layer in 0..cfg.layers() {
             let spatial: Vec<Var> = owned
                 .iter()
@@ -184,77 +243,18 @@ impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
                     }
                 })
                 .collect();
-
             if !self.model.kind().uses_redistribution() {
                 // EvolveGCN: identity temporal, no redistribution.
-                feats = spatial.clone();
-                layers_io.push(LayerIo {
-                    spatial,
-                    b_in: Vec::new(),
-                    b_out: Vec::new(),
-                    c_in: Vec::new(),
-                });
+                feats = spatial;
                 continue;
             }
-
-            let gcn_w = cfg.gcn_out(layer);
-            // --- Redistribution 1: GCN outputs → vertex chunks. ---
-            let spatial_vals: Vec<&Dense> = spatial.iter().map(|&v| tape.value(v)).collect();
-            let send: Vec<Dense> = (0..p)
-                .map(|q| pack_rows(&spatial_vals, &self.chunks.range(q), gcn_w))
-                .collect();
-            let recv = comm.all_to_all_dense(send);
-            // Unpack: one chunk matrix per block timestep.
-            let mut b_in = Vec::with_capacity(block.len());
-            for t in block.clone() {
-                let owner = owned_all
-                    .iter()
-                    .position(|ts| ts.contains(&t))
-                    .expect("every timestep has an owner");
-                let pos = owned_all[owner].iter().position(|&x| x == t).unwrap();
-                let chunk = recv[owner].row_block(pos * my_range.len(), my_range.len());
-                b_in.push(tape.input(chunk));
-            }
-
-            // --- Temporal phase on the vertex chunk, whole block. ---
+            // GCN outputs → vertex chunks, the temporal phase on the chunk
+            // over the whole block, temporal outputs → snapshot owners.
+            let comm = &mut *self.comm;
+            let b_in = tape.all_to_all(comm, &spatial, cfg.gcn_out(layer), Rc::clone(&to_chunks));
             let b_out = seg.temporal(&mut tape, layer, 0, &b_in);
-
-            // --- Redistribution 2: temporal outputs → snapshot owners. ---
-            let tmp_w = cfg.temporal_out(layer);
-            let send2: Vec<Dense> = (0..p)
-                .map(|r| {
-                    let mats: Vec<&Dense> = owned_all[r]
-                        .iter()
-                        .map(|&t| tape.value(b_out[t - block.start]))
-                        .collect();
-                    if mats.is_empty() {
-                        Dense::zeros(0, tmp_w)
-                    } else {
-                        Dense::vstack(&mats)
-                    }
-                })
-                .collect();
-            let recv2 = comm.all_to_all_dense(send2);
-            let c_in: Vec<Var> = owned
-                .iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    let parts: Vec<Dense> = (0..p)
-                        .map(|q| {
-                            let qlen = self.chunks.len_of(q);
-                            recv2[q].row_block(i * qlen, qlen)
-                        })
-                        .collect();
-                    tape.input(Dense::vstack(&parts.iter().collect::<Vec<_>>()))
-                })
-                .collect();
-            feats = c_in.clone();
-            layers_io.push(LayerIo {
-                spatial,
-                b_in,
-                b_out,
-                c_in,
-            });
+            let width = cfg.temporal_out(layer);
+            feats = tape.all_to_all(comm, &b_out, width, Rc::clone(&to_owners));
         }
 
         // Losses on owned timesteps.
@@ -270,118 +270,17 @@ impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
         BlockRun {
             tape,
             seg,
+            loss_weights: vec![1.0 / task.t as f32; loss_vars.len()],
             loss_vars,
             logit_vars,
             z_vars: feats,
-            io: layers_io,
-        }
-    }
-
-    fn backward_block(
-        &mut self,
-        run: &mut BlockRun<'m, Vec<LayerIo>>,
-        block: &Range<usize>,
-        carry_grads: Option<&CarryGrads>,
-    ) {
-        let comm = &mut *self.comm;
-        let rank = comm.rank();
-        let p = comm.world();
-        let cfg = *self.model.config();
-        let owned_all = owned_per_rank(block, p);
-        let owned = owned_all[rank].clone();
-        let my_range = self.chunks.range(rank);
-
-        // Stage 1: loss seeds (every timestep contributes 1/T to the epoch
-        // loss). EvolveGCN also takes its carry seeds here — its whole block
-        // is one connected sweep.
-        let mut seeds: Vec<(Var, Dense)> = run
-            .loss_vars
-            .iter()
-            .map(|&lv| (lv, Dense::full(1, 1, 1.0 / self.task.t as f32)))
-            .collect();
-        if !self.model.kind().uses_redistribution() {
-            if let Some(cg) = carry_grads {
-                seeds.extend(run.seg.carry_out_seeds(cg));
-            }
-            run.tape.backward(&seeds);
-            return;
-        }
-        run.tape.backward(&seeds);
-
-        for layer in (0..cfg.layers()).rev() {
-            let io = &run.io[layer];
-            let tmp_w = cfg.temporal_out(layer);
-            let gcn_w = cfg.gcn_out(layer);
-
-            // --- Reverse redistribution 2: dC (owned ts) → chunk owners. ---
-            let dc: Vec<Dense> = io
-                .c_in
-                .iter()
-                .map(|&v| {
-                    run.tape
-                        .grad(v)
-                        .expect("c_in must receive a gradient")
-                        .clone()
-                })
-                .collect();
-            let dc_refs: Vec<&Dense> = dc.iter().collect();
-            let send: Vec<Dense> = (0..p)
-                .map(|q| pack_rows(&dc_refs, &self.chunks.range(q), tmp_w))
-                .collect();
-            let recv = comm.all_to_all_dense(send);
-            let mut seeds2: Vec<(Var, Dense)> = Vec::with_capacity(block.len());
-            for t in block.clone() {
-                let owner = owned_all.iter().position(|ts| ts.contains(&t)).unwrap();
-                let pos = owned_all[owner].iter().position(|&x| x == t).unwrap();
-                let g = recv[owner].row_block(pos * my_range.len(), my_range.len());
-                seeds2.push((io.b_out[t - block.start], g));
-            }
-            if let Some(cg) = carry_grads {
-                seeds2.extend(run.seg.carry_out_seeds_layer(cg, layer));
-            }
-            run.tape.backward(&seeds2);
-
-            // --- Reverse redistribution 1: dB (block ts, my chunk) → owners. ---
-            let io = &run.io[layer];
-            let send2: Vec<Dense> = (0..p)
-                .map(|r| {
-                    let mats: Vec<&Dense> = owned_all[r]
-                        .iter()
-                        .map(|&t| {
-                            run.tape
-                                .grad(io.b_in[t - block.start])
-                                .expect("b_in must receive a gradient")
-                        })
-                        .collect();
-                    if mats.is_empty() {
-                        Dense::zeros(0, gcn_w)
-                    } else {
-                        Dense::vstack(&mats)
-                    }
-                })
-                .collect();
-            let recv2 = comm.all_to_all_dense(send2);
-            let seeds3: Vec<(Var, Dense)> = owned
-                .iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    let parts: Vec<Dense> = (0..p)
-                        .map(|q| {
-                            let qlen = self.chunks.len_of(q);
-                            recv2[q].row_block(i * qlen, qlen)
-                        })
-                        .collect();
-                    let g = Dense::vstack(&parts.iter().collect::<Vec<_>>());
-                    (io.spatial[i], g)
-                })
-                .collect();
-            run.tape.backward(&seeds3);
+            io: (),
         }
     }
 
     fn observe_block(
         &mut self,
-        run: &BlockRun<'m, Vec<LayerIo>>,
+        run: &BlockRun<'m, ()>,
         block: &Range<usize>,
         stats: &mut RankStats,
         last_z: &mut Option<Dense>,
@@ -399,50 +298,173 @@ impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
         }
     }
 
-    fn reduce_grads(&mut self, store: &mut ParamStore) {
-        // Gradient all-reduce keeps the replicas identical.
-        let mut flat = store.grads_flat();
-        self.comm.all_reduce_sum(&mut flat);
-        store.set_grads_from_flat(&flat);
-    }
-
     fn finish_epoch(
         &mut self,
         stats: RankStats,
         last_z: Option<Dense>,
         store: &ParamStore,
     ) -> EpochStats {
-        let mut agg = [
-            stats.loss_sum as f32,
-            stats.correct as f32,
-            stats.total as f32,
-            0.0,
-            0.0,
-        ];
-        if let Some(z) = &last_z {
-            let logits = self.head.predict(store, z, &self.task.test);
-            let acc = accuracy(&logits, &self.task.test.labels);
-            agg[3] = (acc * self.task.test.labels.len() as f64) as f32;
-            agg[4] = self.task.test.labels.len() as f32;
-        }
-        self.comm.all_reduce_sum(&mut agg);
         let mark = self.epoch_mark.expect("begin_epoch sets the mark");
         EpochStats {
-            loss: f64::from(agg[0]) / self.task.t as f64,
-            train_acc: f64::from(agg[1]) / f64::from(agg[2]).max(1.0),
-            test_acc: f64::from(agg[3]) / f64::from(agg[4]).max(1.0),
             transfer_naive_bytes: self.naive_bytes,
             transfer_gd_bytes: self.gd_bytes,
-            comm_bytes: self.comm.bytes_since(mark),
-            store_miss_bytes: 0,
-            phase: PhaseBreakdown::default(),
+            ..stats.finish(self.comm, mark, (self.head, store, self.task), last_z)
         }
     }
 
     fn attach_phase(&mut self, out: &mut EpochStats, phase: PhaseBreakdown) {
-        out.phase = phase;
-        let mark = self.epoch_mark.expect("begin_epoch sets the mark");
-        out.phase.comm_us = self.comm.busy_us_since(mark);
-        out.phase.comm_wait_us = self.comm.wait_us_since(mark);
+        out.phase = comm_phase(
+            phase,
+            self.comm,
+            self.epoch_mark.expect("begin_epoch sets the mark"),
+        );
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use dgnn_sim::run_ranks;
+
+    pub(crate) fn bits(d: &Dense) -> Vec<u32> {
+        d.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `rows × cols` values unique to `salt`, with a `-0.0` first.
+    pub(crate) fn values(rows: usize, cols: usize, salt: usize) -> Dense {
+        Dense::from_fn(rows, cols, |r, c| match r * cols + c {
+            0 => -0.0,
+            k => (k * 7 + salt * 13) as f32 * 0.125 - 3.0,
+        })
+    }
+
+    fn vstack(mats: &[Dense], width: usize) -> Dense {
+        match mats.is_empty() {
+            true => Dense::zeros(0, width),
+            false => Dense::vstack(&mats.iter().collect::<Vec<_>>()),
+        }
+    }
+
+    /// The hand-staged code's redistribution of per-owned-timestep
+    /// matrices to vertex chunks of every block timestep: forward of the
+    /// GCN outputs, backward of the next layer's inputs.
+    fn staged_to_chunks(
+        comm: &mut Comm,
+        mats: &[Dense],
+        block: &Range<usize>,
+        n: usize,
+        width: usize,
+    ) -> Vec<Dense> {
+        let p = comm.world();
+        let chunks = VertexChunks::new(n, p);
+        let my = chunks.len_of(comm.rank());
+        let send = (0..p).map(|q| {
+            let r = chunks.range(q);
+            let blocks: Vec<Dense> = mats.iter().map(|m| m.row_block(r.start, r.len())).collect();
+            vstack(&blocks, width)
+        });
+        let recv = comm.all_to_all_dense(send.collect());
+        let owned_all = owned_per_rank(block, p);
+        let owner_pos = |t| {
+            let q = owned_all.iter().position(|ts| ts.contains(&t)).unwrap();
+            (q, owned_all[q].iter().position(|&s| s == t).unwrap())
+        };
+        block
+            .clone()
+            .map(|t| {
+                let (q, pos) = owner_pos(t);
+                recv[q].row_block(pos * my, my)
+            })
+            .collect()
+    }
+
+    /// The inverse redistribution, vertex chunks of every block timestep
+    /// back to the owners: forward of the temporal outputs, backward of
+    /// the GCN outputs.
+    fn staged_to_owners(
+        comm: &mut Comm,
+        mats: &[Dense],
+        block: &Range<usize>,
+        n: usize,
+        width: usize,
+    ) -> Vec<Dense> {
+        let (p, rank) = (comm.world(), comm.rank());
+        let chunks = VertexChunks::new(n, p);
+        let owned_all = owned_per_rank(block, p);
+        let send = owned_all.iter().map(|ts| {
+            let own: Vec<Dense> = ts.iter().map(|&t| mats[t - block.start].clone()).collect();
+            vstack(&own, width)
+        });
+        let recv = comm.all_to_all_dense(send.collect());
+        (0..owned_all[rank].len())
+            .map(|i| {
+                let parts: Vec<Dense> = (0..p)
+                    .map(|q| recv[q].row_block(i * chunks.len_of(q), chunks.len_of(q)))
+                    .collect();
+                vstack(&parts, width)
+            })
+            .collect()
+    }
+
+    /// Asserts `got` equals `want` bit for bit; returns the `-0.0`s.
+    fn same_bits(got: Vec<&Dense>, want: &[Dense], what: &str) -> usize {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (g, w) in got.into_iter().zip(want) {
+            assert_eq!(bits(g), bits(w), "{what}");
+        }
+        want.iter()
+            .flat_map(bits)
+            .filter(|&b| b == (-0.0f32).to_bits())
+            .count()
+    }
+
+    #[test]
+    fn all_to_all_is_bitwise_the_hand_staged_redistributions() {
+        // Two timesteps on three or four ranks leave ranks without
+        // timesteps; three vertices on four ranks leave one without rows.
+        for p in [2usize, 3, 4] {
+            for (len, n) in [(2usize, 7usize), (5, 3)] {
+                let neg_zeros = run_ranks(p, |comm| {
+                    let (rank, block) = (comm.rank(), 3..3 + len);
+                    let owned_all = owned_per_rank(&block, p);
+                    let chunks = VertexChunks::new(n, p);
+                    let my = chunks.len_of(rank);
+                    let [to_chunks, to_owners] =
+                        redistribution_routes(&chunks, &owned_all, rank, &block);
+                    let owned = &owned_all[rank];
+                    let gcn: Vec<Dense> = owned.iter().map(|&t| values(n, 3, t)).collect();
+                    let tmp: Vec<Dense> =
+                        block.clone().map(|t| values(my, 2, 9 * t + rank)).collect();
+                    let mut tape = Tape::new();
+                    let spatial: Vec<Var> = gcn.iter().map(|v| tape.input(v.clone())).collect();
+                    let b_out: Vec<Var> = tmp.iter().map(|v| tape.input(v.clone())).collect();
+                    let b_in = tape.all_to_all(comm, &spatial, 3, to_chunks);
+                    let c_in = tape.all_to_all(comm, &b_out, 2, to_owners);
+                    let values_of = |vars: &[Var]| vars.iter().map(|&v| tape.value(v)).collect();
+                    let want = staged_to_chunks(comm, &gcn, &block, n, 3);
+                    same_bits(values_of(&b_in), &want, "b_in");
+                    let want = staged_to_owners(comm, &tmp, &block, n, 2);
+                    same_bits(values_of(&c_in), &want, "c_in");
+
+                    // One backward, then the hand-staged reverse
+                    // redistributions in the same order.
+                    let dc: Vec<Dense> = owned.iter().map(|&t| values(n, 2, 50 + t)).collect();
+                    let db: Vec<Dense> = block.clone().map(|t| values(my, 3, 70 + t)).collect();
+                    let mut seeds: Vec<(Var, Dense)> = c_in.into_iter().zip(dc.clone()).collect();
+                    seeds.extend(b_in.into_iter().zip(db.clone()));
+                    tape.backward(seeds, Some(comm));
+                    let grads_of =
+                        |vars: &[Var]| vars.iter().map(|&v| tape.grad(v).unwrap()).collect();
+                    let want = staged_to_chunks(comm, &dc, &block, n, 2);
+                    let neg_zeros = same_bits(grads_of(&b_out), &want, "d b_out");
+                    let want = staged_to_owners(comm, &db, &block, n, 3);
+                    neg_zeros + same_bits(grads_of(&spatial), &want, "d spatial")
+                });
+                assert!(
+                    neg_zeros.iter().sum::<usize>() > 0,
+                    "a -0.0 gradient crosses"
+                );
+            }
+        }
     }
 }

@@ -13,28 +13,29 @@
 //! ranges of the original ids.
 //!
 //! Both sum exactly as the single-rank trainer does. A rank's local
-//! columns are numbered by global id, and the exchanged rows are stacked
-//! in that same order ([`stack_exchanged`]), so every SpMM row sums in
-//! global column order. The reverse exchange adds each own row's gradient
-//! contributions in rank order, as `Comm::all_reduce_sum` does.
+//! columns are numbered by global id, and `Tape::exchange_rows` stacks the
+//! exchanged rows in that same order, so every SpMM row sums in global
+//! column order. Its backward, the reverse exchange, adds each own row's
+//! gradient contributions in rank order, as `Comm::all_reduce_sum` does.
 //!
-//! Losses are computed from all-gathered embeddings with each rank owning
-//! a slice of the sample set; the gradient all-reduce keeps replicas
-//! identical. The scheme faithfully simulates the sequential algorithm, so
+//! Losses are computed from embeddings gathered by `Tape::all_gather`,
+//! with each rank owning a slice of the sample set; the gradient
+//! all-reduce keeps replicas identical. Both collectives are tape ops, so
+//! the engine's one backward call runs them reversed. The scheme faithfully simulates the sequential algorithm, so
 //! its convergence matches snapshot partitioning (paper Fig. 6).
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use dgnn_autograd::{ParamStore, Tape, Var};
+use dgnn_autograd::{Communicator, ParamStore, Tape, Var};
 use dgnn_graph::EdgeSamples;
-use dgnn_models::{accuracy, CarryGrads, CarryState, LinkPredHead, Model, ModelKind};
+use dgnn_models::{accuracy, CarryState, LinkPredHead, Model, ModelKind};
 use dgnn_partition::balanced_ranges;
-use dgnn_sim::{Comm, CommMark, Payload};
+use dgnn_sim::{Comm, CommMark};
 use dgnn_tensor::{Csr, Dense};
 
-use crate::engine::time_part::RankStats;
+use crate::engine::time_part::{comm_phase, RankStats};
 use crate::engine::{BlockRun, ParallelStrategy};
 use crate::metrics::{EpochStats, PhaseBreakdown};
 use crate::task::Task;
@@ -44,12 +45,10 @@ use crate::task::Task;
 pub(crate) struct ExchangePlan {
     /// `needed_out[t][q]` = local row indices (within my range) that rank
     /// `q` needs at timestep `t`.
-    needed_out: Vec<Vec<Vec<u32>>>,
-    /// `needed_in_len[t][q]` = how many rows arrive from rank `q` at `t`.
-    needed_in_len: Vec<Vec<usize>>,
+    needed_out: Vec<Rc<Vec<Vec<u32>>>>,
     /// Local sparse matrices: my Laplacian rows with columns numbered by
     /// global id over my rows and the remote rows they reference — the
-    /// row order of [`stack_exchanged`].
+    /// row order of `Tape::exchange_rows`.
     a_loc: Vec<Rc<Csr>>,
 }
 
@@ -75,7 +74,6 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
     let my = ranges[rank].clone();
     let owner_of = |v: usize| ranges.iter().position(|r| r.contains(&v)).unwrap();
     let mut needed_out = Vec::with_capacity(laps.len());
-    let mut needed_in_len = Vec::with_capacity(laps.len());
     let mut a_loc = Vec::with_capacity(laps.len());
     for lap in laps {
         // Remote columns my rows reference, grouped by owner.
@@ -139,43 +137,9 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
             needed.dedup();
             out_per_q[q] = needed;
         }
-        needed_in_len.push((0..p).map(|q| remote[q].len()).collect());
-        needed_out.push(out_per_q);
+        needed_out.push(Rc::new(out_per_q));
     }
-    ExchangePlan {
-        needed_out,
-        needed_in_len,
-        a_loc,
-    }
-}
-
-/// Stacks my rows with the rows received from every peer in rank order —
-/// `parts[q]` from rank `q`, `own` in my slot — which is the column order
-/// of [`ExchangePlan`]'s local Laplacians.
-fn stack_exchanged(own: &Dense, parts: &[Dense], rank: usize) -> Dense {
-    let rows: Vec<&Dense> = parts
-        .iter()
-        .enumerate()
-        .map(|(q, part)| if q == rank { own } else { part })
-        .collect();
-    Dense::vstack(&rows)
-}
-
-/// Per-layer bookkeeping for the staged backward.
-pub(crate) struct VLayerIo {
-    /// Stacked SpMM input per timestep: a constant at layer 0, a leaf
-    /// whose gradient the reverse exchange returns to its owners above.
-    x_in: Vec<Var>,
-    /// Temporal outputs per timestep (own rows).
-    z_out: Vec<Var>,
-}
-
-/// Per-block artifacts beyond the common [`BlockRun`] fields. The common
-/// `z_vars` hold the all-gathered full embeddings per block timestep.
-pub(crate) struct VertexIo {
-    layers_io: Vec<VLayerIo>,
-    /// Sample slices this rank computed losses for.
-    sample_slices: Vec<EdgeSamples>,
+    ExchangePlan { needed_out, a_loc }
 }
 
 /// The row-split layout over `p` rank threads.
@@ -212,7 +176,8 @@ impl<'m, 'c> VertexPartitioned<'m, 'c> {
 }
 
 impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
-    type Io = VertexIo;
+    /// The sample slices this rank computed losses for.
+    type Io = Vec<EdgeSamples>;
     type Stats = RankStats;
     type EpochOut = EpochStats;
 
@@ -231,17 +196,19 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         self.epoch_mark = Some(self.comm.mark());
     }
 
+    fn comm(&mut self) -> Option<&mut dyn Communicator> {
+        Some(&mut *self.comm)
+    }
+
     fn forward_block(
         &mut self,
         store: &ParamStore,
         block: Range<usize>,
         carry_in: &CarryState,
-    ) -> BlockRun<'m, VertexIo> {
+    ) -> BlockRun<'m, Vec<EdgeSamples>> {
         let comm = &mut *self.comm;
         let (task, plan) = (self.task, self.plan);
-        let rank = comm.rank();
-        let p = comm.world();
-        let cfg = *self.model.config();
+        let (rank, p) = (comm.rank(), comm.world());
         let my = self.ranges[rank].clone();
 
         let mut tape = Tape::new();
@@ -251,198 +218,71 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         let head_vars = self.head.bind(&mut tape, store);
 
         // Layer-0 inputs: my feature rows, per block timestep.
-        let mut x_vals: Vec<Dense> = block
+        let mut feats: Vec<Var> = block
             .clone()
-            .map(|t| task.features[t].row_block(my.start, my.len()))
+            .map(|t| tape.constant(task.features[t].row_block(my.start, my.len())))
             .collect();
-        let mut prev_z: Vec<Var> = Vec::new();
-
-        let mut layers_io: Vec<VLayerIo> = Vec::with_capacity(cfg.layers());
-        for layer in 0..cfg.layers() {
-            let mut x_in = Vec::with_capacity(block.len());
+        for layer in 0..self.model.config().layers() {
             let mut spatial: Vec<Var> = Vec::with_capacity(block.len());
             for (i, t) in block.clone().enumerate() {
                 // Send each peer the rows it references; stack what arrives.
-                let sends = (0..p)
-                    .map(|q| x_vals[i].gather_rows(&plan.needed_out[t][q]))
-                    .collect();
-                let parts = comm.all_to_all_dense(sends);
-                let stacked = stack_exchanged(&x_vals[i], &parts, rank);
-                let x = if layer == 0 {
-                    tape.constant(stacked)
-                } else {
-                    tape.input(stacked)
-                };
-                x_in.push(x);
+                let x = tape.exchange_rows(comm, feats[i], Rc::clone(&plan.needed_out[t]));
                 let a = Rc::clone(&plan.a_loc[t]);
-                debug_assert_eq!(a.cols(), tape.value(x).rows());
                 spatial.push(seg.spatial_rows(&mut tape, layer, t, a, x));
             }
-            let z_out = seg.temporal(&mut tape, layer, 0, &spatial);
-            x_vals = z_out.iter().map(|&v| tape.value(v).clone()).collect();
-            prev_z = z_out.clone();
-            layers_io.push(VLayerIo { x_in, z_out });
+            feats = seg.temporal(&mut tape, layer, 0, &spatial);
         }
 
         // Losses: all-gather full embeddings, each rank scores its slice.
         let mut z_full = Vec::with_capacity(block.len());
         let mut loss_vars = Vec::with_capacity(block.len());
+        let mut loss_weights = Vec::with_capacity(block.len());
         let mut logit_vars = Vec::with_capacity(block.len());
         let mut sample_slices = Vec::with_capacity(block.len());
         for (i, t) in block.clone().enumerate() {
-            let gathered = comm.all_gather(Payload::Dense(tape.value(prev_z[i]).clone()));
-            let parts: Vec<Dense> = gathered
-                .into_iter()
-                .map(|pl| match pl {
-                    Payload::Dense(d) => d,
-                    other => panic!("expected dense, got {other:?}"),
-                })
-                .collect();
-            let full = Dense::vstack(&parts.iter().collect::<Vec<_>>());
-            let zf = tape.input(full);
+            let zf = tape.all_gather(comm, feats[i]);
             z_full.push(zf);
             let slice_range = balanced_ranges(task.train[t].len(), p)[rank].clone();
             let slice = task.train[t].slice(slice_range);
             let logits = self.head.logits(&mut tape, head_vars, zf, &slice);
             let loss = tape.softmax_cross_entropy(logits, Rc::new(slice.labels.clone()));
+            // The timestep's loss is the mean over all samples; this rank's
+            // is the mean over its slice, weighted by slice/total.
+            let w = slice.len() as f32 / task.train[t].len().max(1) as f32 / task.t as f32;
             logit_vars.push(logits);
             loss_vars.push(loss);
+            loss_weights.push(w);
             sample_slices.push(slice);
         }
         BlockRun {
             tape,
             seg,
             loss_vars,
+            loss_weights,
             logit_vars,
             z_vars: z_full,
-            io: VertexIo {
-                layers_io,
-                sample_slices,
-            },
-        }
-    }
-
-    fn backward_block(
-        &mut self,
-        run: &mut BlockRun<'m, VertexIo>,
-        block: &Range<usize>,
-        carry_grads: Option<&CarryGrads>,
-    ) {
-        let comm = &mut *self.comm;
-        let (task, plan) = (self.task, self.plan);
-        let rank = comm.rank();
-        let p = comm.world();
-        let cfg = *self.model.config();
-        let my = self.ranges[rank].clone();
-
-        // Stage 0: loss seeds. The global per-timestep loss is the mean
-        // over all samples; this rank computed the mean over its slice, so
-        // its seed is weighted by slice/total.
-        let seeds: Vec<(Var, Dense)> = run
-            .loss_vars
-            .iter()
-            .enumerate()
-            .map(|(i, &lv)| {
-                let t = block.start + i;
-                let w = run.io.sample_slices[i].len() as f32
-                    / task.train[t].len().max(1) as f32
-                    / task.t as f32;
-                (lv, Dense::full(1, 1, w))
-            })
-            .collect();
-        run.tape.backward(&seeds);
-
-        // Sum the full-embedding gradients across ranks, then per-layer
-        // sweeps.
-        let mut dz_rows: Vec<Dense> = Vec::with_capacity(block.len());
-        for zf in &run.z_vars {
-            let mut dz = match run.tape.grad(*zf) {
-                Some(g) => g.clone(),
-                None => {
-                    let (r, c) = run.tape.value(*zf).shape();
-                    Dense::zeros(r, c)
-                }
-            };
-            let mut flat = dz.data().to_vec();
-            comm.all_reduce_sum(&mut flat);
-            dz.data_mut().copy_from_slice(&flat);
-            dz_rows.push(dz.row_block(my.start, my.len()));
-        }
-
-        for layer in (0..cfg.layers()).rev() {
-            // Temporal+spatial sweep of this layer.
-            let mut seeds: Vec<(Var, Dense)> = Vec::new();
-            for (i, _t) in block.clone().enumerate() {
-                seeds.push((run.io.layers_io[layer].z_out[i], dz_rows[i].clone()));
-            }
-            if let Some(cg) = carry_grads {
-                seeds.extend(run.seg.carry_out_seeds_layer(cg, layer));
-            }
-            run.tape.backward(&seeds);
-
-            // Reverse neighbor exchange (layer 0's inputs are constants):
-            // each peer gets back the gradient of the rows it sent, and my
-            // rows' contributions are summed in rank order into the layer
-            // below's seeds.
-            if layer == 0 {
-                continue;
-            }
-            for (i, t) in block.clone().enumerate() {
-                let g = run
-                    .tape
-                    .grad(run.io.layers_io[layer].x_in[i])
-                    .expect("stacked rows feed the SpMM");
-                let mut offset = 0;
-                let mut sections: Vec<Dense> = (0..p)
-                    .map(|q| {
-                        let len = if q == rank {
-                            my.len()
-                        } else {
-                            plan.needed_in_len[t][q]
-                        };
-                        offset += len;
-                        g.row_block(offset - len, len)
-                    })
-                    .collect();
-                let own = std::mem::replace(&mut sections[rank], Dense::zeros(0, g.cols()));
-                let recv = comm.all_to_all_dense(sections);
-                let mut dx = Dense::zeros(my.len(), own.cols());
-                for (q, d) in recv.iter().enumerate() {
-                    if q == rank {
-                        dx.add_assign(&own);
-                    } else {
-                        dx.scatter_add_rows(&plan.needed_out[t][q], d);
-                    }
-                }
-                dz_rows[i] = dx;
-            }
+            io: sample_slices,
         }
     }
 
     fn observe_block(
         &mut self,
-        run: &BlockRun<'m, VertexIo>,
+        run: &BlockRun<'m, Vec<EdgeSamples>>,
         block: &Range<usize>,
         stats: &mut RankStats,
         last_z: &mut Option<Dense>,
     ) {
         for (i, t) in block.clone().enumerate() {
-            let w = run.io.sample_slices[i].len() as f64 / self.task.train[t].len().max(1) as f64;
+            let w = run.io[i].len() as f64 / self.task.train[t].len().max(1) as f64;
             stats.loss_sum += f64::from(run.tape.value(run.loss_vars[i]).get(0, 0)) * w;
             let logits = run.tape.value(run.logit_vars[i]);
-            let acc = accuracy(logits, &run.io.sample_slices[i].labels);
-            stats.correct += acc * run.io.sample_slices[i].len() as f64;
-            stats.total += run.io.sample_slices[i].len() as f64;
+            let acc = accuracy(logits, &run.io[i].labels);
+            stats.correct += acc * run.io[i].len() as f64;
+            stats.total += run.io[i].len() as f64;
         }
         if block.end == self.task.t {
             *last_z = Some(run.tape.value(*run.z_vars.last().unwrap()).clone());
         }
-    }
-
-    fn reduce_grads(&mut self, store: &mut ParamStore) {
-        let mut flat = store.grads_flat();
-        self.comm.all_reduce_sum(&mut flat);
-        store.set_grads_from_flat(&flat);
     }
 
     fn finish_epoch(
@@ -451,45 +291,25 @@ impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
         last_z: Option<Dense>,
         store: &ParamStore,
     ) -> EpochStats {
-        let mut agg = [
-            stats.loss_sum as f32,
-            stats.correct as f32,
-            stats.total as f32,
-            0.0,
-            0.0,
-        ];
-        if self.comm.rank() == 0 {
-            let z = last_z.as_ref().expect("rank 0 sees the last block");
-            let logits = self.head.predict(store, z, &self.task.test);
-            let acc = accuracy(&logits, &self.task.test.labels);
-            agg[3] = (acc * self.task.test.labels.len() as f64) as f32;
-            agg[4] = self.task.test.labels.len() as f32;
-        }
-        self.comm.all_reduce_sum(&mut agg);
         let mark = self.epoch_mark.expect("begin_epoch sets the mark");
-        EpochStats {
-            loss: f64::from(agg[0]) / self.task.t as f64,
-            train_acc: f64::from(agg[1]) / f64::from(agg[2]).max(1.0),
-            test_acc: f64::from(agg[3]) / f64::from(agg[4]).max(1.0),
-            transfer_naive_bytes: 0,
-            transfer_gd_bytes: 0,
-            comm_bytes: self.comm.bytes_since(mark),
-            store_miss_bytes: 0,
-            phase: PhaseBreakdown::default(),
-        }
+        // Every rank holds the gathered embeddings; rank 0 scores them.
+        let last_z = last_z.filter(|_| self.comm.rank() == 0);
+        stats.finish(self.comm, mark, (self.head, store, self.task), last_z)
     }
 
     fn attach_phase(&mut self, out: &mut EpochStats, phase: PhaseBreakdown) {
-        out.phase = phase;
-        let mark = self.epoch_mark.expect("begin_epoch sets the mark");
-        out.phase.comm_us = self.comm.busy_us_since(mark);
-        out.phase.comm_wait_us = self.comm.wait_us_since(mark);
+        out.phase = comm_phase(
+            phase,
+            self.comm,
+            self.epoch_mark.expect("begin_epoch sets the mark"),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::time_part::tests::{bits, values};
     use crate::task::{prepare_task, TaskOptions};
     use dgnn_graph::gen::churn;
     use dgnn_models::ModelConfig;
@@ -512,10 +332,12 @@ mod tests {
                 let parts: Vec<Dense> = (0..p)
                     .map(|q| blocks[q].gather_rows(&plans[q].needed_out[t][rank]))
                     .collect();
-                let stacked = stack_exchanged(&blocks[rank], &parts, rank);
+                let sections: Vec<&Dense> = (0..p)
+                    .map(|q| if q == rank { &blocks[rank] } else { &parts[q] })
+                    .collect();
+                let stacked = Dense::vstack(&sections);
                 let got = plans[rank].a_loc[t].spmm(&stacked);
                 let want = lap.row_block(my.start, my.len()).spmm(&x_full);
-                let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&got),
                     bits(&want),
@@ -552,6 +374,94 @@ mod tests {
             let (perm, _) = contiguous_renaming(&part, p);
             let renamed = prepare_task(&raw.relabel(&perm), &next.relabel(&perm), &cfg, &opts);
             assert_rank_spmm_is_single_rank(&renamed.laps, &part_ranges(&part, p), "hypergraph");
+        }
+    }
+
+    #[test]
+    fn exchange_and_gather_are_bitwise_the_hand_staged_backward() {
+        use dgnn_sim::run_ranks;
+        // Seven vertices, and three on four ranks, which leaves one rank
+        // without rows.
+        for p in [2usize, 3, 4] {
+            for n in [7usize, 3] {
+                let edges: Vec<(u32, u32)> = (0..n as u32)
+                    .flat_map(|v| [(v, (v + 1) % n as u32), (v, (v * 3 + 2) % n as u32)])
+                    .collect();
+                let laps = vec![Csr::from_edges(n, &edges)];
+                let ranges = balanced_ranges(n, p);
+                run_ranks(p, |comm| {
+                    let (rank, w) = (comm.rank(), 3);
+                    let plan = build_plan(&laps, &ranges, rank);
+                    let send_rows = Rc::clone(&plan.needed_out[0]);
+                    let rows = ranges[rank].len();
+                    let x_val = values(rows, w, rank);
+                    let mut tape = Tape::new();
+                    let (x, x2) = (tape.input(x_val.clone()), tape.input(x_val.clone()));
+                    let stacked = tape.exchange_rows(comm, x, Rc::clone(&send_rows));
+                    let full = tape.all_gather(comm, x2);
+
+                    // The forward exchange and gather, by hand.
+                    let sends = send_rows.iter().map(|r| x_val.gather_rows(r)).collect();
+                    let parts = comm.all_to_all_dense(sends);
+                    let sections: Vec<&Dense> = (0..p)
+                        .map(|q| if q == rank { &x_val } else { &parts[q] })
+                        .collect();
+                    assert_eq!(bits(tape.value(stacked)), bits(&Dense::vstack(&sections)));
+                    let gathered = comm.all_gather(dgnn_sim::Payload::Dense(x_val.clone()));
+                    let gathered: Vec<Dense> = gathered
+                        .into_iter()
+                        .map(|pl| match pl {
+                            dgnn_sim::Payload::Dense(d) => d,
+                            other => panic!("expected dense, got {other:?}"),
+                        })
+                        .collect();
+                    let want = Dense::vstack(&gathered.iter().collect::<Vec<_>>());
+                    assert_eq!(bits(tape.value(full)), bits(&want), "gathered");
+
+                    // One backward, then the hand-staged reverse collectives
+                    // in the same order: the all-reduce, then the exchange.
+                    let (sr, fr) = (tape.value(stacked).rows(), tape.value(full).rows());
+                    let (g, gf) = (values(sr, w, 20 + rank), values(fr, w, 30 + rank));
+                    tape.backward(vec![(stacked, g.clone()), (full, gf.clone())], Some(comm));
+                    let mut flat = gf.data().to_vec();
+                    comm.all_reduce_sum(&mut flat);
+                    let dz = Dense::from_vec(fr, w, flat);
+                    let want = dz.row_block(ranges[rank].start, rows);
+                    assert_eq!(bits(tape.grad(x2).unwrap()), bits(&want), "d gather");
+                    let mut offset = 0;
+                    let mut sections: Vec<Dense> = (0..p)
+                        .map(|q| {
+                            let len = if q == rank { rows } else { parts[q].rows() };
+                            offset += len;
+                            g.row_block(offset - len, len)
+                        })
+                        .collect();
+                    let own = std::mem::replace(&mut sections[rank], Dense::zeros(0, w));
+                    let recv = comm.all_to_all_dense(sections);
+                    let mut dx = Dense::zeros(rows, w);
+                    for (q, d) in recv.iter().enumerate() {
+                        if q == rank {
+                            dx.add_assign(&own);
+                        } else {
+                            dx.scatter_add_rows(&send_rows[q], d);
+                        }
+                    }
+                    assert_eq!(bits(tape.grad(x).unwrap()), bits(&dx), "d exchange");
+
+                    // A first layer's exchange of constant features is a
+                    // constant: the backward sends nothing for it.
+                    let mut tape = Tape::new();
+                    let x0 = tape.constant(x_val.clone());
+                    let stacked = tape.exchange_rows(comm, x0, send_rows);
+                    let wv = tape.input(Dense::ones(w, 2));
+                    let y = tape.matmul(stacked, wv);
+                    let mark = comm.mark();
+                    let gy = Dense::ones(tape.value(y).rows(), 2);
+                    tape.backward(vec![(y, gy)], Some(comm));
+                    assert_eq!(comm.bytes_since(mark), 0, "reverse traffic of a constant");
+                    assert!(tape.grad(wv).is_some());
+                });
+            }
         }
     }
 }

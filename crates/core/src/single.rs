@@ -193,15 +193,6 @@ mod tests {
             self.inner.forward_block(store, block, carry_in)
         }
 
-        fn backward_block(
-            &mut self,
-            run: &mut crate::engine::BlockRun<'m, ()>,
-            block: &std::ops::Range<usize>,
-            carry_grads: Option<&dgnn_models::CarryGrads>,
-        ) {
-            self.inner.backward_block(run, block, carry_grads);
-        }
-
         fn observe_block(
             &mut self,
             run: &crate::engine::BlockRun<'m, ()>,

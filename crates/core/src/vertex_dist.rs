@@ -4,8 +4,8 @@
 //!
 //! The entry point owns the setup that is genuinely its own — hypergraph
 //! partitioning, the contiguous renaming, and relabelling the samples so
-//! both schemes train on the same task. The exchange plan and staged
-//! backward live in `crate::engine::vertex_part`.
+//! both schemes train on the same task. The exchange plan and the layout's
+//! collectives live in `crate::engine::vertex_part`.
 
 use std::ops::Range;
 

@@ -99,8 +99,7 @@ impl LstmCell {
 
     /// One step: consumes `x` (`rows x in_f`) and the previous state,
     /// returning the new state (`h` is the step output). Two gate GEMMs
-    /// feed one fused cell op ([`Tape::lstm_cell`]); `h` and `c` of one
-    /// step must get their gradients within one `Tape::backward` call.
+    /// feed one fused cell op ([`Tape::lstm_cell`]).
     pub fn step(&self, tape: &mut Tape, vars: LstmVars, x: Var, prev: LstmState) -> LstmState {
         let gx = tape.matmul(x, vars.wx);
         let gh = tape.matmul(prev.h, vars.wh);
@@ -284,7 +283,7 @@ mod tests {
             Seed::C => vec![(state.c, dc)],
             Seed::Both => vec![(state.h, dh), (state.c, dc)],
         };
-        tape.backward(&seeds);
+        tape.backward(seeds, None);
         let mut out = vec![bits(tape.value(state.h)), bits(tape.value(state.c))];
         let leaves = x_vars
             .iter()
@@ -356,23 +355,6 @@ mod tests {
                 assert_eq!(fused, reference, "{seed:?} threads {threads}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "already propagated")]
-    fn late_seed_on_the_other_cell_output_panics() {
-        // h and c of one cell propagate together; a gradient for c that
-        // arrives in a later backward call must not be dropped silently.
-        let mut rng = StdRng::seed_from_u64(49);
-        let mut store = ParamStore::new();
-        let cell = LstmCell::new(&mut store, "lstm", 2, 3, &mut rng);
-        let mut tape = Tape::new();
-        let vars = cell.bind(&mut tape, &store);
-        let state = cell.zero_state(&mut tape, 4);
-        let x = tape.constant(Dense::ones(4, 2));
-        let next = cell.step(&mut tape, vars, x, state);
-        tape.backward(&[(next.h, Dense::ones(4, 3))]);
-        tape.backward(&[(next.c, Dense::ones(4, 3))]);
     }
 
     #[test]

@@ -426,52 +426,23 @@ impl<'m> Segment<'m> {
         }
     }
 
-    /// Backward seeds for one layer's carry (used by the staged backward of
-    /// the distributed trainers, where each layer is swept separately).
-    pub fn carry_out_seeds_layer(&self, grads: &CarryGrads, layer: usize) -> Vec<(Var, Dense)> {
+    /// Backward seeds that inject the next block's carry gradients onto this
+    /// segment's carry-out variables, every layer's.
+    pub fn carry_out_seeds(&self, grads: &CarryGrads) -> Vec<(Var, Dense)> {
         let mut seeds = Vec::new();
-        self.push_layer_seeds(&mut seeds, layer, grads);
-        seeds
-    }
-
-    fn push_layer_seeds(&self, seeds: &mut Vec<(Var, Dense)>, layer: usize, grads: &CarryGrads) {
-        let s = &self.layer_states[layer];
-        let g = &grads.layers[layer];
-        match s {
-            SegmentLayerState::Lstm { cur, .. } => {
-                if let Some(dh) = &g.dh {
-                    seeds.push((cur.h, dh.clone()));
+        for (s, g) in self.layer_states.iter().zip(&grads.layers) {
+            match s {
+                SegmentLayerState::Lstm { cur: end, .. } | SegmentLayerState::Egcn { end, .. } => {
+                    seeds.extend(g.dh.iter().map(|dh| (end.h, dh.clone())));
+                    seeds.extend(g.dc.iter().map(|dc| (end.c, dc.clone())));
                 }
-                if let Some(dc) = &g.dc {
-                    seeds.push((cur.c, dc.clone()));
-                }
-            }
-            SegmentLayerState::Window { cur, .. } => {
-                for (i, dg) in g.dframes.iter().enumerate() {
-                    if let Some(d) = dg {
-                        let idx = cur.len() - g.dframes.len() + i;
-                        seeds.push((cur[idx], d.clone()));
+                SegmentLayerState::Window { cur, .. } => {
+                    let skip = cur.len() - g.dframes.len();
+                    for (&v, d) in cur.iter().skip(skip).zip(&g.dframes) {
+                        seeds.extend(d.iter().map(|d| (v, d.clone())));
                     }
                 }
             }
-            SegmentLayerState::Egcn { end, .. } => {
-                if let Some(dh) = &g.dh {
-                    seeds.push((end.h, dh.clone()));
-                }
-                if let Some(dc) = &g.dc {
-                    seeds.push((end.c, dc.clone()));
-                }
-            }
-        }
-    }
-
-    /// Backward seeds that inject the next block's carry gradients onto this
-    /// segment's carry-out variables (all layers at once — the single-rank
-    /// and EvolveGCN paths, which run one backward call per block).
-    pub fn carry_out_seeds(&self, grads: &CarryGrads) -> Vec<(Var, Dense)> {
-        let mut seeds = Vec::new();
-        for layer in 0..self.layer_states.len() {
-            self.push_layer_seeds(&mut seeds, layer, grads);
         }
         seeds
     }

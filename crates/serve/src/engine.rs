@@ -685,6 +685,25 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn no_op_and_reverted_events_dirty_no_rows() {
+        let mut s = InferenceSession::new(tiny_model(3, 4, false), feats(40, 3));
+        s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0), EdgeEvent::add(0, 2, 3, 0.5)]);
+        s.advance();
+        // Two removes of absent edges (one the reverse of a present one)
+        // and an add reverted inside the window.
+        s.ingest(&[
+            EdgeEvent::remove(1, 5, 6),
+            EdgeEvent::remove(1, 1, 0),
+            EdgeEvent::add(1, 7, 8, 2.0),
+            EdgeEvent::remove(1, 7, 8),
+        ]);
+        let r = s.advance();
+        assert_eq!(r.touched, 0);
+        assert_eq!(r.frontier_rows, vec![0; 2]);
+        s.assert_matches_full();
+    }
+
+    #[test]
     fn unservable_heads_are_refused_with_typed_errors() {
         use dgnn_models::ModelConfig;
         let cfg = ModelConfig {

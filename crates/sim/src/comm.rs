@@ -29,6 +29,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dgnn_autograd::Communicator;
 use dgnn_telemetry::trace;
 use dgnn_tensor::Dense;
 
@@ -350,6 +351,26 @@ impl Comm {
         if flag != 0 && flag != self.rank + 1 {
             std::panic::panic_any(RankAbort { origin: flag - 1 });
         }
+    }
+}
+
+/// The tape's collective ops ([`dgnn_autograd::tape::collective`]) run on
+/// the same collectives, tags and byte accounting as direct calls.
+impl Communicator for Comm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn world(&self) -> usize {
+        self.world
+    }
+
+    fn all_to_all_dense(&mut self, parts: Vec<Dense>) -> Vec<Dense> {
+        Comm::all_to_all_dense(self, parts)
+    }
+
+    fn all_reduce_sum(&mut self, data: &mut [f32]) {
+        Comm::all_reduce_sum(self, data);
     }
 }
 

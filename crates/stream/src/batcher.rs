@@ -88,22 +88,31 @@ impl DeltaBatcher {
         }
     }
 
-    /// The vertices incident to any edge touched since the last flush,
+    /// The vertices incident to any edge changed since the last flush,
     /// sorted and deduplicated — the seed set a diff subscriber (e.g. the
     /// `dgnn-serve` incremental inference engine) expands into its
-    /// per-layer recompute frontier. Call before [`DeltaBatcher::flush`] /
-    /// [`DeltaBatcher::advance`], which clear the journal. Memoized: the
-    /// set is computed once per batch state and served from cache until
-    /// the next [`DeltaBatcher::apply`] or flush invalidates it.
+    /// per-layer recompute frontier. An edge counts when its presence or
+    /// weight bits differ from its first journal entry, the baseline
+    /// [`DeltaBatcher::flush`] diffs against: removing an absent edge or
+    /// adding and removing one inside the batch changes nothing. Call
+    /// before [`DeltaBatcher::flush`] / [`DeltaBatcher::advance`], which
+    /// clear the journal. Memoized: the set is computed once per batch
+    /// state and served from cache until the next [`DeltaBatcher::apply`]
+    /// or flush invalidates it.
     pub fn touched_vertices(&self) -> Vec<u32> {
         let mut cache = self.touched_cache.borrow_mut();
         if let Some(cached) = cache.as_ref() {
             return cached.clone();
         }
-        let mut out: Vec<u32> = self
-            .touched
-            .iter()
-            .flat_map(|&((u, v), _)| [u, v])
+        let mut journal = self.touched.clone();
+        // Stable: each edge's first entry survives the dedup.
+        journal.sort_by_key(|&(key, _)| key);
+        journal.dedup_by_key(|&mut (key, _)| key);
+        let bits = |w: Option<f32>| w.map(f32::to_bits);
+        let mut out: Vec<u32> = journal
+            .into_iter()
+            .filter(|&((u, v), baseline)| bits(baseline) != bits(self.graph.weight(u, v)))
+            .flat_map(|((u, v), _)| [u, v])
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -228,8 +237,10 @@ mod tests {
         b.apply(&EdgeEvent::add(0, 4, 1, 1.0));
         b.apply(&EdgeEvent::add(0, 1, 2, 1.0));
         b.apply(&EdgeEvent::remove(0, 4, 1));
-        // Sorted, deduplicated, and covering reverted touches too.
-        assert_eq!(b.touched_vertices(), vec![1, 2, 4]);
+        b.apply(&EdgeEvent::remove(0, 3, 0));
+        // Sorted and deduplicated; a reverted add and a remove of an
+        // absent edge change nothing and touch no vertex.
+        assert_eq!(b.touched_vertices(), vec![1, 2]);
         let _ = b.flush();
         assert!(b.touched_vertices().is_empty());
         b.apply(&EdgeEvent::update(1, 5, 5, 2.0));
@@ -238,10 +249,17 @@ mod tests {
 
     #[test]
     fn touched_vertices_memoization_matches_fresh_recompute() {
-        // Reference: the pre-memoization implementation, recomputed from
-        // the journal on every call.
-        fn reference(journal: &[((u32, u32), Option<f32>)]) -> Vec<u32> {
-            let mut out: Vec<u32> = journal.iter().flat_map(|&((u, v), _)| [u, v]).collect();
+        // Reference: recomputed from the journal on every call, each
+        // edge's baseline found by a linear scan for its first entry.
+        fn reference(b: &DeltaBatcher) -> Vec<u32> {
+            let bits = |w: Option<f32>| w.map(f32::to_bits);
+            let mut out: Vec<u32> = Vec::new();
+            for (i, &((u, v), w)) in b.touched.iter().enumerate() {
+                let first = b.touched[..i].iter().all(|&(key, _)| key != (u, v));
+                if first && bits(w) != bits(b.graph.weight(u, v)) {
+                    out.extend([u, v]);
+                }
+            }
             out.sort_unstable();
             out.dedup();
             out
@@ -254,7 +272,7 @@ mod tests {
             if i % 7 == 0 {
                 // Probe mid-batch: the first call fills the cache, the
                 // second is served from it; both must pin the reference.
-                let expect = reference(&b.touched);
+                let expect = reference(&b);
                 assert_eq!(b.touched_vertices(), expect, "event {i}, cold");
                 assert_eq!(b.touched_vertices(), expect, "event {i}, cached");
             }
