@@ -765,6 +765,18 @@ impl Tape {
             .flatten()
             .for_each(workspace::recycle);
     }
+
+    /// Consumes the tape, moving `v`'s value out and recycling the rest
+    /// ([`Tape::recycle`]): a forward-only tape hands back its output
+    /// without a copy.
+    pub fn into_value(mut self, v: Var) -> Dense {
+        let value = std::mem::replace(
+            &mut self.nodes[v.0].value,
+            Dense::from_vec(0, 0, Vec::new()),
+        );
+        self.recycle();
+        value
+    }
 }
 
 /// Forward of [`Tape::gcn_tail`]: `[skip.max(0) | (lin + bias).max(0)]`.

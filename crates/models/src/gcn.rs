@@ -71,12 +71,6 @@ impl GcnLayer {
         self.in_f
     }
 
-    /// Whether the CD-GCN skip concatenation is active (exported so the
-    /// inference engine can rebuild the exact forward from a checkpoint).
-    pub fn skip_concat(&self) -> bool {
-        self.skip_concat
-    }
-
     /// Output width (`in_f + out_f` when the skip concat is active).
     pub fn output_width(&self) -> usize {
         if self.skip_concat {

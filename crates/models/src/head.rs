@@ -73,11 +73,13 @@ impl LinkPredHead {
     /// computed from the embeddings of the last training timestep without
     /// touching a tape.
     pub fn predict(&self, store: &ParamStore, z: &Dense, samples: &EdgeSamples) -> Dense {
-        let zu = z.gather_rows(&samples.src);
-        let zv = z.gather_rows(&samples.dst);
-        let cat = zu.concat_cols(&zv);
-        cat.matmul(store.value(self.u))
-            .add_row_broadcast(store.value(self.b))
+        link_logits(
+            store.value(self.u),
+            store.value(self.b),
+            z,
+            &samples.src,
+            &samples.dst,
+        )
     }
 
     /// Mean cross-entropy loss of a sample set.
@@ -85,6 +87,14 @@ impl LinkPredHead {
         let logits = self.logits(tape, vars, z, samples);
         tape.softmax_cross_entropy(logits, Rc::new(samples.labels.clone()))
     }
+}
+
+/// Value-level link logits `concat(z[src], z[dst]) · u + b`, one row per
+/// `(src[i], dst[i])` pair: [`LinkPredHead::predict`]'s expression, and the
+/// one serving scores links with.
+pub fn link_logits(u: &Dense, b: &Dense, z: &Dense, src: &[u32], dst: &[u32]) -> Dense {
+    let cat = z.gather_rows(src).concat_cols(&z.gather_rows(dst));
+    cat.matmul(u).add_row_broadcast(b)
 }
 
 /// Vertex-classification head: `softmax(Z_t · U + b)` with per-vertex

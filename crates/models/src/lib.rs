@@ -25,6 +25,6 @@ pub mod model;
 pub use carry::{CarryGrads, CarryState, LayerCarry, LayerCarryGrad};
 pub use config::{ModelConfig, ModelKind};
 pub use gcn::GcnLayer;
-pub use head::{accuracy, ClassificationHead, LinkPredHead};
+pub use head::{accuracy, link_logits, ClassificationHead, LinkPredHead};
 pub use lstm::LstmCell;
 pub use model::{Model, Segment};

@@ -82,9 +82,9 @@ impl Model {
         self.cfg.kind
     }
 
-    /// The per-layer GCN components, in layer order — the parameter-export
-    /// hook the serving stack uses to lift trained spatial weights out of a
-    /// live model.
+    /// The per-layer GCN components, in layer order. Serving runs their
+    /// [`GcnLayer::forward_preaggregated`] on every row it recomputes, so
+    /// it serves training's own layer.
     pub fn gcn_layers(&self) -> &[GcnLayer] {
         &self.gcn
     }

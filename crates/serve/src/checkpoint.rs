@@ -145,11 +145,13 @@ impl Checkpoint {
     }
 
     /// Imports the saved values into a live store (e.g. one freshly built
-    /// by `Model::new` with the same config), by name. Every checkpoint
-    /// parameter must exist in the store with the same shape.
+    /// by `Model::new` with the same config), by name. The checkpoint must
+    /// assign every store parameter exactly once, with the same shape: a
+    /// parameter it lacks would otherwise keep the store's initial value.
     pub fn load_into(&self, store: &mut ParamStore) -> Result<(), CheckpointError> {
         // Validate everything before mutating anything.
         let mut ids = Vec::with_capacity(self.params.len());
+        let mut assigned = vec![false; store.len()];
         for (name, value) in &self.params {
             let id = store.id_of(name).ok_or_else(|| {
                 CheckpointError::StoreMismatch(format!("store has no parameter named {name:?}"))
@@ -161,7 +163,18 @@ impl Checkpoint {
                     value.shape()
                 )));
             }
+            if std::mem::replace(&mut assigned[id.index()], true) {
+                return Err(CheckpointError::StoreMismatch(format!(
+                    "checkpoint names {name:?} twice"
+                )));
+            }
             ids.push(id);
+        }
+        if let Some(id) = store.ids().find(|id| !assigned[id.index()]) {
+            return Err(CheckpointError::StoreMismatch(format!(
+                "checkpoint lacks {:?}",
+                store.name(id)
+            )));
         }
         for (id, (_, value)) in ids.into_iter().zip(&self.params) {
             *store.value_mut(id) = value.clone();

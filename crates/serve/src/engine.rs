@@ -1,6 +1,7 @@
-//! The incremental inference engine: a value-level GCN forward over the
-//! live graph, recomputing only the multi-hop frontier of touched vertices
-//! on each window advance.
+//! The incremental inference engine: the trained model's own GCN layers
+//! (`dgnn_models::GcnLayer`, the forward training runs) over the live
+//! graph, recomputing only the multi-hop frontier of touched vertices on
+//! each window advance.
 //!
 //! ## The incremental-recompute contract
 //!
@@ -20,11 +21,12 @@
 //!    dirty set expands by one hop per GCN layer:
 //!    `F_0 = T ∪ N(T)`, `F_{l+1} = F_l ∪ N(F_l)`.
 //! 3. *Bitwise-reproducible row arithmetic.* Rebuilt `Ã` rows, the
-//!    row-subset SpMM ([`Csr::spmm_rows`]), the row-subset GEMM, and the
-//!    element-wise bias/activation all run the exact per-row expression
-//!    the full path runs, and rows outside the frontier keep cached values
-//!    whose inputs did not change — equal expressions over equal bits give
-//!    equal bits, at every thread count (the PR-2 determinism contract).
+//!    row-subset SpMM ([`Csr::spmm_rows`]) and the layer itself (its GEMM
+//!    and the fused bias + ReLU tail, both row-wise) run the exact per-row
+//!    expression the full path runs, and rows outside the frontier keep
+//!    cached values whose inputs did not change — equal expressions over
+//!    equal bits give equal bits, at every thread count (the PR-2
+//!    determinism contract).
 //!
 //! Both expansions are [`frontier::expand`], and a window whose `F_0`
 //! crosses [`frontier::recompute_all`] (half of the vertices) skips the
@@ -41,230 +43,24 @@
 //! model was trained on. Neighborhoods (`N(T)` and the per-layer
 //! expansions) are taken in `½(A + Aᵀ)`, i.e. over out- and in-edges.
 
-use dgnn_autograd::ParamStore;
+use dgnn_autograd::{ParamStore, Tape};
 use dgnn_graph::{frontier, GraphDiff};
-use dgnn_models::{LinkPredHead, Model, ModelKind};
+use dgnn_models::{link_logits, LinkPredHead, Model, ModelKind};
 use dgnn_stream::{DeltaBatcher, EdgeEvent, StreamingGraph};
 use dgnn_telemetry::trace;
-use dgnn_tensor::{laplacian_degree, normalized_laplacian, pool, push_laplacian_row, Csr, Dense};
+use dgnn_tensor::{laplacian_degree, normalized_laplacian, push_laplacian_row, Csr, Dense};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 
-/// One GCN layer's frozen parameters.
-#[derive(Clone, Debug)]
-pub struct ServeLayer {
-    /// Weight matrix (`in_f × out_f`).
-    pub w: Dense,
-    /// Bias row (`1 × out_f`).
-    pub b: Dense,
-    /// CD-GCN's skip concatenation of the aggregated input.
-    pub skip_concat: bool,
-}
-
-impl ServeLayer {
-    /// Output width given this layer's weight and skip setting.
-    pub fn out_width(&self) -> usize {
-        if self.skip_concat {
-            self.w.rows() + self.w.cols()
-        } else {
-            self.w.cols()
-        }
-    }
-
-    /// The layer forward for a block of pre-aggregated rows: the exact
-    /// per-row arithmetic of the full forward, applied to any row subset.
-    /// Bias and ReLU run in place on the product (a wide window pushes
-    /// every row through here at once, and each temporary is `n` rows).
-    fn forward_rows(&self, agg: &Dense) -> Dense {
-        let mut pre = agg.matmul(&self.w);
-        let (cols, work) = (pre.cols(), pre.len());
-        let bias = self.b.data();
-        pool::par_rows(pre.data_mut(), cols, work, |_, block| {
-            for row in block.chunks_mut(cols) {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o += b;
-                }
-            }
-        });
-        let mut out = if self.skip_concat {
-            agg.concat_cols(&pre)
-        } else {
-            pre
-        };
-        pool::par_elems(out.data_mut(), |_, chunk| {
-            for v in chunk {
-                *v = relu(*v);
-            }
-        });
-        out
-    }
-}
-
-/// ReLU as one shared expression, so the full and incremental paths cannot
-/// drift apart.
-fn relu(v: f32) -> f32 {
-    if v > 0.0 {
-        v
-    } else {
-        0.0
-    }
-}
-
-/// The frozen spatial stack served at inference time: the per-layer GCN
-/// weights plus the link-prediction head. Temporal components (feature /
-/// weight LSTMs) evolve only during training; serving freezes the spatial
-/// weights they produced, which is exactly the static part of the forward
-/// that the current snapshot determines.
-#[derive(Clone, Debug)]
-pub struct ServeModel {
-    layers: Vec<ServeLayer>,
-    head_u: Dense,
-    head_b: Dense,
-}
-
-impl ServeModel {
-    /// Builds from explicit parts (tests, synthetic benches).
-    ///
-    /// # Panics
-    /// Panics when the layer widths do not compose — hand-built parts are
-    /// a programmer error, unlike checkpoints, which get typed errors.
-    pub fn from_parts(layers: Vec<ServeLayer>, head_u: Dense, head_b: Dense) -> Self {
-        Self::checked(layers, head_u, head_b).expect("serve model parts must compose")
-    }
-
-    /// Lifts the spatial stack out of a decoded [`Checkpoint`].
-    pub fn from_checkpoint(cp: &Checkpoint) -> Result<Self, CheckpointError> {
-        let mut layers = Vec::with_capacity(cp.config.layers());
-        for l in 0..cp.config.layers() {
-            let take = |suffix: &str| {
-                cp.param(&format!("gcn{l}.{suffix}"))
-                    .cloned()
-                    .ok_or_else(|| {
-                        CheckpointError::StoreMismatch(format!("checkpoint lacks gcn{l}.{suffix}"))
-                    })
-            };
-            layers.push(ServeLayer {
-                w: take("w")?,
-                b: take("b")?,
-                skip_concat: cp.config.kind == ModelKind::CdGcn,
-            });
-        }
-        let head_u = cp
-            .param("head.u")
-            .cloned()
-            .ok_or_else(|| CheckpointError::StoreMismatch("checkpoint lacks head.u".into()))?;
-        let head_b = cp
-            .param("head.b")
-            .cloned()
-            .ok_or_else(|| CheckpointError::StoreMismatch("checkpoint lacks head.b".into()))?;
-        Self::checked(layers, head_u, head_b)
-    }
-
-    /// Lifts the spatial stack straight out of a live trained model.
-    pub fn from_model(
-        model: &Model,
-        head: &LinkPredHead,
-        store: &ParamStore,
-    ) -> Result<Self, CheckpointError> {
-        let layers = model
-            .gcn_layers()
-            .iter()
-            .map(|g| ServeLayer {
-                w: store.value(g.w).clone(),
-                b: store.value(g.b).clone(),
-                skip_concat: g.skip_concat(),
-            })
-            .collect();
-        Self::checked(
-            layers,
-            store.value(head.u).clone(),
-            store.value(head.b).clone(),
-        )
-    }
-
-    /// Validates that the layer widths actually compose as a pure spatial
-    /// stack. CD-GCN fails here by construction: its trained `gcn1.w` takes
-    /// `hidden` rows because the training forward interposes a feature
-    /// LSTM (`gcn_out → hidden`) between the layers, a temporal component
-    /// the snapshot forward cannot supply — serving it would be a shape
-    /// panic at the first query, so it is refused up front as a typed
-    /// error.
-    fn checked(
-        layers: Vec<ServeLayer>,
-        head_u: Dense,
-        head_b: Dense,
-    ) -> Result<Self, CheckpointError> {
-        assert!(!layers.is_empty(), "need at least one layer");
-        for (l, pair) in layers.windows(2).enumerate() {
-            let (out_w, in_w) = (pair[0].out_width(), pair[1].w.rows());
-            if out_w != in_w {
-                return Err(CheckpointError::UnsupportedModel(format!(
-                    "layer {l} emits width {out_w} but layer {} consumes width {in_w}; \
-                     the layers do not compose without the training-time temporal \
-                     component (CD-GCN cannot be served as a pure spatial stack)",
-                    l + 1
-                )));
-            }
-        }
-        let emb = layers.last().unwrap().out_width();
-        if head_u.rows() != 2 * emb {
-            return Err(CheckpointError::UnsupportedModel(format!(
-                "head expects embeddings of width {} but the stack emits {emb}",
-                head_u.rows() / 2
-            )));
-        }
-        if head_u.cols() < 2 || head_b.cols() != head_u.cols() {
-            return Err(CheckpointError::UnsupportedModel(format!(
-                "link scoring needs a >= 2-class head with matching bias \
-                 (head.u has {} classes, head.b has {})",
-                head_u.cols(),
-                head_b.cols()
-            )));
-        }
-        Ok(Self {
-            layers,
-            head_u,
-            head_b,
-        })
-    }
-
-    /// Number of GCN layers.
-    pub fn layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Input feature width the first layer expects.
-    pub fn input_f(&self) -> usize {
-        self.layers[0].w.rows()
-    }
-
-    /// Final embedding width.
-    pub fn embedding_dim(&self) -> usize {
-        self.layers.last().unwrap().out_width()
-    }
-
-    /// The head's projection and bias (shared with published snapshots).
-    pub fn head(&self) -> (&Dense, &Dense) {
-        (&self.head_u, &self.head_b)
-    }
-}
-
-/// Link scores for explicit head parameters and an embedding matrix: the
-/// positive-class logit margin `logit₁ − logit₀` of each pair. All kernels
-/// involved (row gather, GEMM, bias broadcast) run on the intra-rank
-/// thread pool and are bit-stable at every thread count.
-pub fn score_links_with(
-    head_u: &Dense,
-    head_b: &Dense,
-    z: &Dense,
-    pairs: &[(u32, u32)],
-) -> Vec<f32> {
-    assert!(head_b.cols() >= 2, "link scoring needs >= 2 classes");
-    let src: Vec<u32> = pairs.iter().map(|&(u, _)| u).collect();
-    let dst: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
-    let zu = z.gather_rows(&src);
-    let zv = z.gather_rows(&dst);
-    let logits = zu.concat_cols(&zv).matmul(head_u).add_row_broadcast(head_b);
+/// Link scores: the positive-class logit margin `logit₁ − logit₀` of each
+/// pair under the head `(u, b)`, over the models' own [`link_logits`]. All
+/// kernels involved (row gather, GEMM, bias broadcast) run on the
+/// intra-rank thread pool and are bit-stable at every thread count.
+pub(crate) fn link_margins(u: &Dense, b: &Dense, z: &Dense, pairs: &[(u32, u32)]) -> Vec<f32> {
+    let (src, dst): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+    let logits = link_logits(u, b, z, &src, &dst);
     (0..pairs.len())
         .map(|i| logits.get(i, 1) - logits.get(i, 0))
         .collect()
@@ -286,11 +82,14 @@ pub struct AdvanceReport {
     pub frontier_rows: Vec<usize>,
 }
 
-/// A live inference session: frozen weights, fixed node features, an
-/// evolving graph, and cached per-layer activations maintained by frontier
-/// recompute.
+/// A live inference session: a trained model restored from a checkpoint,
+/// fixed node features, an evolving graph, and cached per-layer activations
+/// maintained by frontier recompute.
 pub struct InferenceSession {
-    model: ServeModel,
+    model: Model,
+    head: LinkPredHead,
+    /// The checkpoint's parameter values, bound by `model` and `head`.
+    params: ParamStore,
     features: Dense,
     /// The directed graph and its delta journal.
     batcher: DeltaBatcher,
@@ -306,16 +105,68 @@ pub struct InferenceSession {
 }
 
 impl InferenceSession {
-    /// Opens a session over an empty graph of `features.rows()` vertices.
-    pub fn new(model: ServeModel, features: Dense) -> Self {
+    /// Opens a session over an empty graph of `features.rows()` vertices,
+    /// serving the checkpoint's model: `Model::new` and `LinkPredHead::new`
+    /// build the architecture its header names, and
+    /// [`Checkpoint::load_into`] overwrites every parameter with the
+    /// checkpoint's value.
+    ///
+    /// Serving runs the spatial GCN stack of the first timestep's weights,
+    /// so CD-GCN, whose second layer consumes its feature LSTM's output, is
+    /// refused, as is a head that cannot score a two-class margin over the
+    /// model's embeddings. The header's widths are checked against the
+    /// stored weight shapes before anything is built from them, so a forged
+    /// header cannot drive an allocation larger than the file.
+    ///
+    /// # Panics
+    /// Panics when `features` is not `input_f` columns wide.
+    pub fn from_checkpoint(cp: &Checkpoint, features: Dense) -> Result<Self, CheckpointError> {
+        let cfg = cp.config;
+        if cfg.kind == ModelKind::CdGcn {
+            return Err(CheckpointError::UnsupportedModel(
+                "CD-GCN's second GCN layer consumes its feature LSTM's output, a temporal \
+                 component serving does not run"
+                    .into(),
+            ));
+        }
+        if cp.head_classes < 2 || cp.head_emb != cfg.embedding_dim() {
+            return Err(CheckpointError::UnsupportedModel(format!(
+                "link scoring needs a >= 2-class head over {}-wide embeddings \
+                 (the head has {} classes over {}-wide ones)",
+                cfg.embedding_dim(),
+                cp.head_classes,
+                cp.head_emb
+            )));
+        }
+        let expected = (0..cfg.layers())
+            .map(|l| (format!("gcn{l}.w"), (cfg.gcn_in(l), cfg.hidden)))
+            .chain([("head.u".to_string(), (2 * cp.head_emb, cp.head_classes))]);
+        for (name, shape) in expected {
+            let stored = cp.param(&name).map(Dense::shape);
+            if stored != Some(shape) {
+                return Err(CheckpointError::StoreMismatch(format!(
+                    "the header implies {name} is {shape:?} but the checkpoint stores {stored:?}"
+                )));
+            }
+        }
+
+        // Any seed: `load_into` overwrites every value it draws.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut params = ParamStore::new();
+        let model = Model::new(cfg, &mut params, &mut rng);
+        let head = LinkPredHead::new(&mut params, cp.head_emb, cp.head_classes, &mut rng);
+        cp.load_into(&mut params)?;
+
         assert_eq!(
             features.cols(),
-            model.input_f(),
+            cfg.input_f,
             "feature width does not match the first layer"
         );
         let n = features.rows();
         let mut s = Self {
             model,
+            head,
+            params,
             features,
             batcher: DeltaBatcher::new(n),
             transpose: StreamingGraph::new(n),
@@ -330,12 +181,7 @@ impl InferenceSession {
         let all: Vec<u32> = (0..n as u32).collect();
         s.refresh_lap_rows(&all);
         s.forward_all_rows();
-        s
-    }
-
-    /// Opens a session from a decoded checkpoint.
-    pub fn from_checkpoint(cp: &Checkpoint, features: Dense) -> Result<Self, CheckpointError> {
-        Ok(Self::new(ServeModel::from_checkpoint(cp)?, features))
+        Ok(s)
     }
 
     /// Number of vertices.
@@ -355,9 +201,12 @@ impl InferenceSession {
         self.batcher.graph()
     }
 
-    /// The serving model.
-    pub fn model(&self) -> &ServeModel {
-        &self.model
+    /// The head's projection and bias (shared with published snapshots).
+    pub(crate) fn head(&self) -> (&Dense, &Dense) {
+        (
+            self.params.value(self.head.u),
+            self.params.value(self.head.b),
+        )
     }
 
     /// Final-layer embeddings over the current snapshot (`N × emb`).
@@ -402,7 +251,7 @@ impl InferenceSession {
                 version: self.version,
                 diff,
                 touched: 0,
-                frontier_rows: vec![0; self.model.layers()],
+                frontier_rows: vec![0; self.layers()],
             };
         }
 
@@ -425,24 +274,23 @@ impl InferenceSession {
                 version: self.version,
                 diff,
                 touched: touched.len(),
-                frontier_rows: vec![self.n(); self.model.layers()],
+                frontier_rows: vec![self.n(); self.layers()],
             };
         }
 
         // Per-layer frontier recompute over the cached activations: `dirty`
         // holds `F_l`.
-        let mut frontier_rows = Vec::with_capacity(self.model.layers());
-        for l in 0..self.model.layers() {
+        let mut frontier_rows = Vec::with_capacity(self.layers());
+        for l in 0..self.layers() {
             frontier_rows.push(dirty.len());
             let input = if l == 0 {
                 &self.features
             } else {
                 &self.acts[l - 1]
             };
-            let agg = self.a_hat.spmm_rows(input, &dirty);
-            let rows = self.model.layers[l].forward_rows(&agg);
+            let rows = self.layer_rows(l, self.a_hat.spmm_rows(input, &dirty));
             self.acts[l].set_rows(&dirty, &rows);
-            if l + 1 < self.model.layers() {
+            if l + 1 < self.layers() {
                 let a_hat = &self.a_hat;
                 dirty = frontier::expand(&dirty, self.n(), |u| {
                     a_hat.row_iter(u as usize).map(|(c, _)| c)
@@ -465,12 +313,8 @@ impl InferenceSession {
 
     /// Batched link scoring: positive-class logit margin per pair.
     pub fn score_links(&self, pairs: &[(u32, u32)]) -> Vec<f32> {
-        score_links_with(
-            &self.model.head_u,
-            &self.model.head_b,
-            self.embeddings(),
-            pairs,
-        )
+        let (u, b) = self.head();
+        link_margins(u, b, self.embeddings(), pairs)
     }
 
     /// The from-scratch reference: materializes the graph, builds the full
@@ -480,11 +324,10 @@ impl InferenceSession {
     pub fn full_forward(&self) -> Vec<Dense> {
         let a_full = normalized_laplacian(&self.graph().materialize());
 
-        let mut acts = Vec::with_capacity(self.model.layers());
-        for l in 0..self.model.layers() {
+        let mut acts = Vec::with_capacity(self.layers());
+        for l in 0..self.layers() {
             let input = if l == 0 { &self.features } else { &acts[l - 1] };
-            let agg = a_full.spmm(input);
-            acts.push(self.model.layers[l].forward_rows(&agg));
+            acts.push(self.layer_rows(l, a_full.spmm(input)));
         }
         acts
     }
@@ -505,6 +348,24 @@ impl InferenceSession {
         }
     }
 
+    /// Number of GCN layers.
+    fn layers(&self) -> usize {
+        self.model.gcn_layers().len()
+    }
+
+    /// GCN layer `l` over pre-aggregated rows `agg` (`Ã·X` on any row
+    /// subset): training's [`GcnLayer::forward_preaggregated`](dgnn_models::GcnLayer::forward_preaggregated), recorded on
+    /// a tape that lives for this call. Nothing differentiates it; the
+    /// output moves out and the rest of the tape is recycled.
+    fn layer_rows(&self, l: usize, agg: Dense) -> Dense {
+        let layer = &self.model.gcn_layers()[l];
+        let mut tape = Tape::new();
+        let vars = layer.bind(&mut tape, &self.params);
+        let agg = tape.constant(agg);
+        let out = layer.forward_preaggregated(&mut tape, vars, agg);
+        tape.into_value(out)
+    }
+
     /// Row `u` of the directed graph and of its transpose.
     fn rows(&self, u: u32) -> [impl Iterator<Item = (u32, f32)> + '_; 2] {
         [self.graph().row(u), self.transpose.row(u)].map(|r| r.iter().copied())
@@ -512,21 +373,15 @@ impl InferenceSession {
 
     /// Recomputes every row of every cached activation from the current
     /// operator: the layers of [`InferenceSession::full_forward`] without
-    /// rebuilding the operator it starts from. Each layer replaces its
-    /// cached matrix before the next one runs, so at most one extra
-    /// activation matrix is alive.
+    /// rebuilding the operator it starts from. No cached matrix is an input
+    /// of the recompute, so all are dropped first: beside the new layers,
+    /// only one layer's aggregation, product and output are alive.
     fn forward_all_rows(&mut self) {
-        for l in 0..self.model.layers() {
-            let input = if l == 0 {
-                &self.features
-            } else {
-                &self.acts[l - 1]
-            };
-            let out = self.model.layers[l].forward_rows(&self.a_hat.spmm(input));
-            match self.acts.get_mut(l) {
-                Some(cached) => *cached = out,
-                None => self.acts.push(out),
-            }
+        self.acts.clear();
+        for l in 0..self.layers() {
+            let input = self.acts.last().unwrap_or(&self.features);
+            let out = self.layer_rows(l, self.a_hat.spmm(input));
+            self.acts.push(out);
         }
     }
 
@@ -601,68 +456,184 @@ impl InferenceSession {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::rc::Rc;
+
+    use dgnn_models::ModelConfig;
+    use dgnn_tensor::pool;
+
     use super::*;
 
-    /// A deterministic two-layer model (no RNG: fixed pseudo-pattern).
-    pub(crate) fn tiny_model(input_f: usize, hidden: usize, skip: bool) -> ServeModel {
-        let w = |rows: usize, cols: usize, salt: usize| {
-            Dense::from_fn(rows, cols, |r, c| {
-                ((r * 31 + c * 17 + salt * 7) % 13) as f32 / 13.0 - 0.5
-            })
+    /// A seeded checkpoint of a real two-layer `kind` model, its biases
+    /// spread over both signs so that where the bias enters the layer
+    /// shows in the output.
+    fn tiny_model(kind: ModelKind, input_f: usize, hidden: usize) -> Checkpoint {
+        let cfg = ModelConfig {
+            kind,
+            input_f,
+            hidden,
+            mprod_window: 2,
+            smoothing_window: 2,
         };
-        let l0 = ServeLayer {
-            w: w(input_f, hidden, 1),
-            b: Dense::full(1, hidden, 0.05),
-            skip_concat: skip,
-        };
-        let l1 = ServeLayer {
-            w: w(l0.out_width(), hidden, 2),
-            b: Dense::full(1, hidden, 0.05),
-            skip_concat: skip,
-        };
-        let emb = l1.out_width();
-        ServeModel::from_parts(vec![l0, l1], w(2 * emb, 2, 3), Dense::zeros(1, 2))
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let model = Model::new(cfg, &mut store, &mut rng);
+        let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+        let mut cp = Checkpoint::from_store(&model, &head, &store);
+        for (name, value) in &mut cp.params {
+            if name.ends_with(".b") {
+                *value = Dense::from_fn(1, value.cols(), |_, c| (c % 3) as f32 * 0.05 - 0.04);
+            }
+        }
+        cp
+    }
+
+    /// A session serving a `hidden`-wide TM-GCN checkpoint over `features`.
+    pub(crate) fn tiny_session(hidden: usize, features: Dense) -> InferenceSession {
+        let cp = tiny_model(ModelKind::TmGcn, features.cols(), hidden);
+        InferenceSession::from_checkpoint(&cp, features).expect("servable")
     }
 
     fn feats(n: usize, f: usize) -> Dense {
         Dense::from_fn(n, f, |r, c| ((r * 13 + c * 5) % 11) as f32 / 11.0)
     }
 
+    fn bits(d: &Dense) -> Vec<u32> {
+        d.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The layer arithmetic serving ran before it ran training's layer:
+    /// `agg · W`, then `+= b` row by row, then ReLU as `v > 0 ? v : 0`.
+    fn reference_layer(agg: &Dense, w: &Dense, b: &Dense) -> Dense {
+        let mut pre = agg.matmul(w);
+        let cols = pre.cols();
+        for row in pre.data_mut().chunks_mut(cols) {
+            for (o, &b) in row.iter_mut().zip(b.data()) {
+                *o += b;
+            }
+        }
+        pre.map(|v| if v > 0.0 { v } else { 0.0 })
+    }
+
+    /// Asserts every cached activation equals [`reference_layer`] run over
+    /// the session's operator and weights, bit for bit.
+    fn assert_matches_reference(s: &InferenceSession) {
+        let mut input = &s.features;
+        for (l, g) in s.model.gcn_layers().iter().enumerate() {
+            let agg = s.a_hat.spmm(input);
+            let want = reference_layer(&agg, s.params.value(g.w), s.params.value(g.b));
+            assert_eq!(bits(&s.acts[l]), bits(&want), "layer {l}");
+            input = &s.acts[l];
+        }
+    }
+
     #[test]
     fn empty_graph_forward_is_identity_operator() {
-        let s = InferenceSession::new(tiny_model(3, 4, false), feats(6, 3));
-        // With no edges Ã = I: layer 0 equals relu(X·W + b) exactly.
-        let expect = feats(6, 3)
-            .matmul(&s.model.layers[0].w)
-            .add_row_broadcast(&s.model.layers[0].b)
-            .map(relu);
-        assert_eq!(s.acts[0], expect);
+        let s = tiny_session(4, feats(6, 3));
+        // With no edges Ã = I: layer 0 is the layer applied to X itself.
+        let g = &s.model.gcn_layers()[0];
+        let expect = reference_layer(&feats(6, 3), s.params.value(g.w), s.params.value(g.b));
+        assert_eq!(bits(&s.acts[0]), bits(&expect));
         s.assert_matches_full();
+    }
+
+    /// Serving through training's layer moved no served bit: after a wide
+    /// window and after a narrow one, at 1 and 4 threads, every cached
+    /// activation equals the arithmetic of serving's former layer copy.
+    #[test]
+    fn served_layers_equal_the_former_serving_arithmetic() {
+        let n = 600usize;
+        for threads in [1usize, 4] {
+            let _g = pool::scoped_threads(Some(threads));
+            let mut s = tiny_session(32, feats(n, 8));
+            let bulk: Vec<EdgeEvent> = (0..n as u32)
+                .map(|u| EdgeEvent::add(0, u, (u * 7 + 3) % n as u32, 0.5))
+                .collect();
+            s.ingest(&bulk);
+            assert_eq!(s.advance().frontier_rows, [n, n], "wide window");
+            assert_matches_reference(&s);
+            s.ingest(&[
+                EdgeEvent::remove(1, 0, 3),
+                EdgeEvent::add(1, 5, 300, 2.0),
+                EdgeEvent::update(1, 9, 66, 0.25),
+            ]);
+            let r = s.advance();
+            assert!(r.frontier_rows.iter().all(|&f| f * 2 < n), "narrow window");
+            assert_matches_reference(&s);
+        }
+    }
+
+    /// Serving what was trained: one timestep of training's forward
+    /// (`spatial` → `temporal` → `spatial`) over a snapshot's operator
+    /// equals the session's full forward over the same edges. EvolveGCN's
+    /// first timestep runs the stored `W₀` and an identity temporal step,
+    /// so both layers match; TM-GCN is checked at layer 0.
+    #[test]
+    fn full_forward_is_the_training_forward_of_one_timestep() {
+        let g = dgnn_graph::gen::churn(60, 3, 150, 0.2, 7);
+        let snap = g.snapshot(2);
+        let events: Vec<EdgeEvent> = snap
+            .adj()
+            .to_coo()
+            .into_iter()
+            .map(|(u, v, w)| EdgeEvent::add(0, u, v, w))
+            .collect();
+        for (kind, layers) in [(ModelKind::EvolveGcn, 2), (ModelKind::TmGcn, 1)] {
+            let cp = tiny_model(kind, 3, 4);
+            let mut s = InferenceSession::from_checkpoint(&cp, feats(60, 3)).expect("servable");
+            s.ingest(&events);
+            s.advance();
+            let served = s.full_forward();
+
+            let mut tape = Tape::new();
+            let carry = s.model.initial_carry(60);
+            let mut seg = s.model.bind_segment(&mut tape, &s.params, 0..1, &carry);
+            let a_hat = Rc::new(snap.laplacian());
+            let x = tape.constant(s.features.clone());
+            let h0 = seg.spatial(&mut tape, 0, 0, Rc::clone(&a_hat), x);
+            let t0 = seg.temporal(&mut tape, 0, 0, &[h0])[0];
+            let h1 = seg.spatial(&mut tape, 1, 0, a_hat, t0);
+            for (l, v) in [h0, h1].into_iter().take(layers).enumerate() {
+                assert_eq!(bits(tape.value(v)), bits(&served[l]), "{kind:?} layer {l}");
+            }
+        }
+    }
+
+    /// `Model::new` allocates from the header's widths. A header claiming
+    /// `u32::MAX` of each would ask for a `gcn0.w` beyond `isize::MAX`
+    /// bytes; the stored shapes refuse it first.
+    #[test]
+    fn forged_header_widths_are_refused_before_allocating() {
+        let mut cp = tiny_model(ModelKind::TmGcn, 2, 3);
+        let huge = u32::MAX as usize;
+        (cp.config.input_f, cp.config.hidden, cp.head_emb) = (huge, huge, huge);
+        let cp = Checkpoint::from_bytes(&cp.to_bytes()).expect("the file itself decodes");
+        assert!(matches!(
+            InferenceSession::from_checkpoint(&cp, feats(4, 2)),
+            Err(CheckpointError::StoreMismatch(_))
+        ));
     }
 
     #[test]
     fn single_advance_matches_full_forward() {
-        for skip in [false, true] {
-            let mut s = InferenceSession::new(tiny_model(3, 4, skip), feats(8, 3));
-            s.ingest(&[
-                EdgeEvent::add(0, 0, 1, 1.0),
-                EdgeEvent::add(0, 1, 2, 0.5),
-                EdgeEvent::add(0, 5, 6, 2.0),
-            ]);
-            let report = s.advance();
-            assert_eq!(report.version, 1);
-            assert_eq!(report.touched, 5);
-            // Frontiers grow (weakly) layer over layer.
-            assert!(report.frontier_rows[0] <= report.frontier_rows[1]);
-            s.assert_matches_full();
-        }
+        let mut s = tiny_session(4, feats(8, 3));
+        s.ingest(&[
+            EdgeEvent::add(0, 0, 1, 1.0),
+            EdgeEvent::add(0, 1, 2, 0.5),
+            EdgeEvent::add(0, 5, 6, 2.0),
+        ]);
+        let report = s.advance();
+        assert_eq!(report.version, 1);
+        assert_eq!(report.touched, 5);
+        // Frontiers grow (weakly) layer over layer.
+        assert!(report.frontier_rows[0] <= report.frontier_rows[1]);
+        s.assert_matches_full();
     }
 
     #[test]
     fn removals_and_weight_updates_stay_consistent() {
         // Twelve vertices: the second window dirties five rows, under the
         // half of `n` at which an advance recomputes every row instead.
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(12, 2));
+        let mut s = tiny_session(3, feats(12, 2));
         s.ingest(&[
             EdgeEvent::add(0, 0, 1, 1.0),
             EdgeEvent::add(0, 1, 2, 1.0),
@@ -686,7 +657,7 @@ pub(crate) mod tests {
 
     #[test]
     fn no_op_and_reverted_events_dirty_no_rows() {
-        let mut s = InferenceSession::new(tiny_model(3, 4, false), feats(40, 3));
+        let mut s = tiny_session(4, feats(40, 3));
         s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0), EdgeEvent::add(0, 2, 3, 0.5)]);
         s.advance();
         // Two removes of absent edges (one the reverse of a present one)
@@ -705,7 +676,6 @@ pub(crate) mod tests {
 
     #[test]
     fn unservable_heads_are_refused_with_typed_errors() {
-        use dgnn_models::ModelConfig;
         let cfg = ModelConfig {
             kind: ModelKind::TmGcn,
             input_f: 2,
@@ -726,26 +696,25 @@ pub(crate) mod tests {
                 ("head.b".into(), head_b),
             ],
         };
+        let open = |cp: &Checkpoint| InferenceSession::from_checkpoint(cp, feats(4, 2));
         // A single-class head cannot produce a link-score margin.
         let cp = mk(Dense::zeros(6, 1), Dense::zeros(1, 1));
         assert!(matches!(
-            ServeModel::from_checkpoint(&cp),
+            open(&cp),
             Err(CheckpointError::UnsupportedModel(_))
         ));
-        // A bias whose width disagrees with the projection.
+        // A bias whose width disagrees with the projection does not fit
+        // the head the header describes.
         let cp = mk(Dense::zeros(6, 2), Dense::zeros(1, 3));
-        assert!(matches!(
-            ServeModel::from_checkpoint(&cp),
-            Err(CheckpointError::UnsupportedModel(_))
-        ));
+        assert!(matches!(open(&cp), Err(CheckpointError::StoreMismatch(_))));
         // The consistent two-class head is accepted.
         let cp = mk(Dense::zeros(6, 2), Dense::zeros(1, 2));
-        assert!(ServeModel::from_checkpoint(&cp).is_ok());
+        assert!(open(&cp).is_ok());
     }
 
     #[test]
     fn weight_only_windows_patch_values_in_place() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(12, 2));
+        let mut s = tiny_session(3, feats(12, 2));
         s.ingest(&[
             EdgeEvent::add(0, 0, 1, 1.0),
             EdgeEvent::add(0, 1, 2, 1.0),
@@ -771,7 +740,7 @@ pub(crate) mod tests {
 
     #[test]
     fn wide_windows_recompute_every_row() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, true), feats(8, 2));
+        let mut s = tiny_session(3, feats(8, 2));
         // Four of eight rows dirty: exactly the threshold.
         s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0), EdgeEvent::add(0, 2, 3, 1.0)]);
         let r = s.advance();
@@ -786,7 +755,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_advance_bumps_version_only() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(4, 2));
+        let mut s = tiny_session(3, feats(4, 2));
         let before = s.embeddings().clone();
         let r = s.advance();
         assert_eq!(r.version, 1);
@@ -796,7 +765,7 @@ pub(crate) mod tests {
 
     #[test]
     fn self_loop_events_are_tolerated() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(5, 2));
+        let mut s = tiny_session(3, feats(5, 2));
         s.ingest(&[EdgeEvent::add(0, 2, 2, 3.0), EdgeEvent::add(0, 0, 1, 1.0)]);
         s.advance();
         // Stored self-loops are ignored by the operator (unit loop wins).
@@ -853,7 +822,7 @@ pub(crate) mod tests {
             .into_iter()
             .map(|(u, v, w)| EdgeEvent::add(0, u, v, w))
             .collect();
-        let mut s = InferenceSession::new(tiny_model(3, 4, false), feats(60, 3));
+        let mut s = tiny_session(4, feats(60, 3));
         s.ingest(&events);
         s.advance();
         assert_serves_training_operator(&s, snap.adj());
@@ -894,31 +863,28 @@ pub(crate) mod tests {
                 EdgeEvent::remove(2, 6, 6),
             ],
         ];
-        for skip in [false, true] {
-            let mut s = InferenceSession::new(tiny_model(2, 3, skip), feats(n, 2));
-            let mut seen = Vec::new();
-            for (i, window) in windows.iter().enumerate() {
-                s.ingest(window);
-                let r = s.advance();
-                assert_eq!(r.frontier_rows[0] == n, i == 0, "window {i}");
-                seen.extend_from_slice(window);
-                assert_serves_training_operator(&s, &directed(n, &seen));
-            }
+        let mut s = tiny_session(3, feats(n, 2));
+        let mut seen = Vec::new();
+        for (i, window) in windows.iter().enumerate() {
+            s.ingest(window);
+            let r = s.advance();
+            assert_eq!(r.frontier_rows[0] == n, i == 0, "window {i}");
+            seen.extend_from_slice(window);
+            assert_serves_training_operator(&s, &directed(n, &seen));
         }
     }
 
     #[test]
     fn scores_are_head_logit_margins() {
-        let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(6, 2));
+        let mut s = tiny_session(3, feats(6, 2));
         s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0)]);
         s.advance();
         let scores = s.score_links(&[(0, 1), (3, 4)]);
         assert_eq!(scores.len(), 2);
         let z = s.predict_nodes(&[0, 1]);
         let cat = z.row_block(0, 1).concat_cols(&z.row_block(1, 1));
-        let logits = cat
-            .matmul(&s.model.head_u)
-            .add_row_broadcast(&s.model.head_b);
+        let (u, b) = s.head();
+        let logits = cat.matmul(u).add_row_broadcast(b);
         let manual = logits.get(0, 1) - logits.get(0, 0);
         assert_eq!(scores[0].to_bits(), manual.to_bits());
     }

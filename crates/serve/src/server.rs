@@ -19,7 +19,7 @@ use dgnn_telemetry::metrics::{Counter, Gauge, Histogram, Registry};
 use dgnn_telemetry::trace;
 use dgnn_tensor::Dense;
 
-use crate::engine::{score_links_with, AdvanceReport, InferenceSession};
+use crate::engine::{link_margins, AdvanceReport, InferenceSession};
 
 /// Query batch-size histogram bounds: powers of two up to 64 Ki rows.
 const BATCH_BOUNDS: [f64; 17] = [
@@ -109,7 +109,7 @@ impl ServingSnapshot {
 
     /// Batched link scoring against this frozen snapshot.
     pub fn score_links(&self, pairs: &[(u32, u32)]) -> Vec<f32> {
-        score_links_with(&self.head_u, &self.head_b, &self.embeddings, pairs)
+        link_margins(&self.head_u, &self.head_b, &self.embeddings, pairs)
     }
 }
 
@@ -140,7 +140,7 @@ impl InferenceServer {
 
     fn snapshot_of(session: &InferenceSession) -> ServingSnapshot {
         let embeddings = session.embeddings().clone();
-        let (head_u, head_b) = session.model().head();
+        let (head_u, head_b) = session.head();
         let version = session.version();
         let clock = session.graph().clock();
         let digest = snapshot_digest(version, clock, &embeddings);
@@ -220,7 +220,7 @@ impl InferenceServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::tiny_model;
+    use crate::engine::tests::tiny_session;
 
     fn feats(n: usize, f: usize) -> Dense {
         Dense::from_fn(n, f, |r, c| ((r * 7 + c) % 5) as f32 / 5.0)
@@ -228,8 +228,7 @@ mod tests {
 
     #[test]
     fn publishes_versions_in_order_with_valid_digests() {
-        let server =
-            InferenceServer::new(InferenceSession::new(tiny_model(2, 3, false), feats(8, 2)));
+        let server = InferenceServer::new(tiny_session(3, feats(8, 2)));
         assert_eq!(server.snapshot().version, 0);
         assert_eq!(
             server.snapshot().recompute_digest(),
@@ -246,7 +245,7 @@ mod tests {
     #[test]
     fn snapshot_queries_match_session_queries() {
         let session = {
-            let mut s = InferenceSession::new(tiny_model(2, 3, false), feats(6, 2));
+            let mut s = tiny_session(3, feats(6, 2));
             s.ingest(&[EdgeEvent::add(0, 0, 1, 1.0), EdgeEvent::add(0, 4, 5, 2.0)]);
             s.advance();
             s
@@ -269,8 +268,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_reports_requests_and_snapshot_state() {
-        let server =
-            InferenceServer::new(InferenceSession::new(tiny_model(2, 3, false), feats(8, 2)));
+        let server = InferenceServer::new(tiny_session(3, feats(8, 2)));
         server.ingest_and_advance(&[EdgeEvent::add(0, 0, 1, 1.0)]);
         server.predict_nodes(&[0, 1, 2]);
         server.score_links(&[(0, 1)]);
@@ -293,8 +291,7 @@ mod tests {
 
     #[test]
     fn old_snapshots_stay_frozen_across_advances() {
-        let server =
-            InferenceServer::new(InferenceSession::new(tiny_model(2, 3, false), feats(6, 2)));
+        let server = InferenceServer::new(tiny_session(3, feats(6, 2)));
         let old = server.snapshot();
         let old_digest = old.digest;
         server.ingest_and_advance(&[EdgeEvent::add(0, 0, 1, 1.0)]);

@@ -10,30 +10,31 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use dgnn_serve::{snapshot_digest, InferenceServer, InferenceSession, ServeLayer, ServeModel};
+use dgnn_autograd::ParamStore;
+use dgnn_models::{LinkPredHead, Model, ModelConfig, ModelKind};
+use dgnn_serve::{snapshot_digest, Checkpoint, InferenceServer, InferenceSession};
 use dgnn_stream::EdgeEvent;
 use dgnn_tensor::{pool, Dense};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const N: usize = 120;
 const WINDOWS: u64 = 30;
 
-fn model() -> ServeModel {
-    let mat = |rows: usize, cols: usize, salt: usize| {
-        Dense::from_fn(rows, cols, |r, c| {
-            ((r * 23 + c * 7 + salt * 13) % 17) as f32 / 17.0 - 0.5
-        })
+/// A seeded checkpoint of a two-layer TM-GCN over 4 features, 8 wide.
+fn model() -> Checkpoint {
+    let cfg = ModelConfig {
+        kind: ModelKind::TmGcn,
+        input_f: 4,
+        hidden: 8,
+        mprod_window: 2,
+        smoothing_window: 2,
     };
-    let l0 = ServeLayer {
-        w: mat(4, 8, 1),
-        b: Dense::full(1, 8, 0.02),
-        skip_concat: false,
-    };
-    let l1 = ServeLayer {
-        w: mat(8, 8, 2),
-        b: Dense::full(1, 8, -0.01),
-        skip_concat: false,
-    };
-    ServeModel::from_parts(vec![l0, l1], mat(16, 2, 3), Dense::zeros(1, 2))
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut store = ParamStore::new();
+    let model = Model::new(cfg, &mut store, &mut rng);
+    let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+    Checkpoint::from_store(&model, &head, &store)
 }
 
 /// The deterministic event batch of window `w` (mixed adds / removes /
@@ -57,10 +58,11 @@ fn window_events(w: u64) -> Vec<EdgeEvent> {
 
 #[test]
 fn concurrent_queries_never_see_torn_snapshots() {
-    let session = InferenceSession::new(
-        model(),
+    let session = InferenceSession::from_checkpoint(
+        &model(),
         Dense::from_fn(N, 4, |r, c| ((r * 11 + c * 3) % 7) as f32 / 7.0),
-    );
+    )
+    .expect("servable");
     let server = Arc::new(InferenceServer::new(session));
     let done = Arc::new(AtomicBool::new(false));
     // version -> digest, recorded by the writer at publication.

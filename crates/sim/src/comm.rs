@@ -4,7 +4,7 @@
 //! Every *ordered pair* of ranks owns a dedicated lane, so rank threads
 //! exchange owned buffers peer-to-peer with no shared inbox contention.
 //! On top of the lanes, [`Comm`] implements the collectives
-//! (`all_to_all`, `all_reduce_sum`, `broadcast`, `all_gather`, `barrier`)
+//! (`all_to_all`, `all_reduce_sum`, `all_gather`, `barrier`)
 //! under a **determinism contract**: reductions combine contributions in
 //! fixed rank order 0..P−1, collective matching uses a per-rank monotone
 //! operation counter (out-of-order arrivals are buffered and re-ordered),
@@ -199,25 +199,6 @@ impl Comm {
             }
         }
         self.busy_ns += timer.stop_ns("comm", "collective");
-    }
-
-    /// Broadcast from `root` to every rank.
-    pub fn broadcast(&mut self, root: usize, payload: Payload) -> Payload {
-        let (rank, world) = (self.rank, self.world);
-        let timer = trace::Timer::start();
-        let tag = self.next_tag();
-        let out = if rank == root {
-            for q in 0..world {
-                if q != root {
-                    self.send(q, tag, payload.clone());
-                }
-            }
-            payload
-        } else {
-            self.recv(root, tag)
-        };
-        self.busy_ns += timer.stop_ns("comm", "collective");
-        out
     }
 
     /// Gathers one payload from every rank onto all ranks (all-gather).
@@ -593,24 +574,6 @@ mod tests {
         });
         for row in &results {
             assert_eq!(row, &vec![10.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let results = run_ranks(3, |comm| {
-            let payload = if comm.rank() == 1 {
-                Payload::Floats(vec![7.0, 8.0])
-            } else {
-                Payload::Empty
-            };
-            match comm.broadcast(1, payload) {
-                Payload::Floats(f) => f,
-                other => panic!("unexpected {other:?}"),
-            }
-        });
-        for row in &results {
-            assert_eq!(row, &vec![7.0, 8.0]);
         }
     }
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example serving`
 
 use dgnn_core::prelude::*;
-use dgnn_serve::{Checkpoint, InferenceServer, InferenceSession, ServeModel};
+use dgnn_serve::{Checkpoint, InferenceServer, InferenceSession};
 use dgnn_stream::EdgeEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,7 +57,6 @@ fn main() {
     );
 
     // ---- Serve: evolving graph, incremental window advances ---------
-    let serve_model = ServeModel::from_checkpoint(&loaded).expect("serve model");
     let n = g.n();
     // Degree features like training uses, frozen at serving start.
     let feats = dgnn_tensor::Dense::from_fn(n, 2, |r, c| {
@@ -69,7 +68,9 @@ fn main() {
         };
         (deg as f32 + 1.0).ln()
     });
-    let mut session = InferenceSession::new(serve_model, feats);
+    // The session restores the trained model from the checkpoint and runs
+    // its own GCN layers: what is served is what was trained.
+    let mut session = InferenceSession::from_checkpoint(&loaded, feats).expect("servable");
     // Seed the serving graph with the last training snapshot's edges.
     let seed_events: Vec<EdgeEvent> = g
         .snapshot(g.t() - 1)

@@ -1,13 +1,16 @@
 //! Checkpoint round-trip: a model trained by `train_single`, saved to the
 //! versioned binary format, loaded back, and served — predictions must be
-//! bit-identical to serving the original in-memory parameters. Negative
-//! cases (truncation, foreign magic, future format revision, flipped
-//! bits) must surface as typed `CheckpointError`s, not panics.
+//! bit-identical to serving the original in-memory parameters, and link
+//! scores are the trained head's own logit margins. Negative cases
+//! (truncation, foreign magic, future format revision, flipped bits, a
+//! missing or repeated parameter) must surface as typed
+//! `CheckpointError`s, not panics.
 
 use dgnn_autograd::ParamStore;
 use dgnn_core::prelude::*;
 use dgnn_core::task::{prepare_task_holdout, TaskOptions};
-use dgnn_serve::{Checkpoint, CheckpointError, InferenceSession, ServeModel};
+use dgnn_graph::EdgeSamples;
+use dgnn_serve::{Checkpoint, CheckpointError, InferenceSession};
 use dgnn_stream::EdgeEvent;
 use dgnn_tensor::Dense;
 use rand::rngs::StdRng;
@@ -38,9 +41,11 @@ fn trained() -> (Model, LinkPredHead, ParamStore, usize) {
     (model, head, store, g.n())
 }
 
-fn serve_scores(model: ServeModel, n: usize) -> (Vec<f32>, Vec<u32>) {
+/// Serves `cp` over a ring of `n` vertices: the link scores of a fixed
+/// pair set, the pairs, and the final embeddings.
+fn serve_scores(cp: &Checkpoint, n: usize) -> (Vec<f32>, Vec<(u32, u32)>, Dense) {
     let features = Dense::from_fn(n, 2, |r, c| ((r * 19 + c * 7) % 13) as f32 / 13.0);
-    let mut session = InferenceSession::new(model, features);
+    let mut session = InferenceSession::from_checkpoint(cp, features).expect("servable");
     let events: Vec<EdgeEvent> = (0..n as u32)
         .map(|u| EdgeEvent::add(0, u, (u * 11 + 1) % n as u32, 1.0))
         .collect();
@@ -49,13 +54,11 @@ fn serve_scores(model: ServeModel, n: usize) -> (Vec<f32>, Vec<u32>) {
     session.assert_matches_full();
     let pairs: Vec<(u32, u32)> = (0..n as u32).map(|u| (u, (u + 3) % n as u32)).collect();
     let scores = session.score_links(&pairs);
-    let emb_bits = session
-        .embeddings()
-        .data()
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    (scores, emb_bits)
+    (scores, pairs, session.embeddings().clone())
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
@@ -81,22 +84,34 @@ fn save_load_serve_is_bit_identical() {
     }
 
     // Serving the loaded checkpoint equals serving the live parameters.
-    let (scores_live, emb_live) = serve_scores(
-        ServeModel::from_model(&model, &head, &store).expect("servable"),
-        n,
-    );
-    let (scores_loaded, emb_loaded) = serve_scores(
-        ServeModel::from_checkpoint(&loaded).expect("serve model"),
-        n,
-    );
-    assert_eq!(emb_live, emb_loaded, "embeddings diverge after reload");
+    let (scores_live, pairs, emb_live) = serve_scores(&cp, n);
+    let (scores_loaded, _, emb_loaded) = serve_scores(&loaded, n);
     assert_eq!(
-        scores_live.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-        scores_loaded
-            .iter()
-            .map(|s| s.to_bits())
-            .collect::<Vec<_>>(),
+        bits(emb_live.data()),
+        bits(emb_loaded.data()),
+        "embeddings diverge after reload"
+    );
+    assert_eq!(
+        bits(&scores_live),
+        bits(&scores_loaded),
         "link scores diverge after reload"
+    );
+
+    // A served score is the trained head's own logit margin.
+    let (src, dst) = pairs.iter().copied().unzip();
+    let samples = EdgeSamples {
+        src,
+        dst,
+        labels: vec![0; pairs.len()],
+    };
+    let logits = head.predict(&store, &emb_live, &samples);
+    let margins: Vec<f32> = (0..pairs.len())
+        .map(|i| logits.get(i, 1) - logits.get(i, 0))
+        .collect();
+    assert_eq!(
+        bits(&scores_live),
+        bits(&margins),
+        "scores are not the head's"
     );
 }
 
@@ -138,14 +153,61 @@ fn cdgcn_checkpoints_are_refused_with_a_typed_error() {
     let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
     let cp = Checkpoint::from_bytes(&Checkpoint::from_store(&model, &head, &store).to_bytes())
         .expect("the checkpoint itself decodes fine");
+    let features = Dense::zeros(8, cfg.input_f);
     assert!(matches!(
-        ServeModel::from_checkpoint(&cp),
+        InferenceSession::from_checkpoint(&cp, features),
         Err(CheckpointError::UnsupportedModel(_))
     ));
+}
+
+/// A checkpoint must assign every parameter of the model its header names
+/// exactly once: one that lacks `gcn1.w` would leave the store's random
+/// initial value in place, and serving would serve it.
+#[test]
+fn incomplete_and_repeated_checkpoints_are_refused() {
+    let (model, head, store, n) = trained();
+    let cp = Checkpoint::from_store(&model, &head, &store);
+    let fresh_store = || {
+        let mut rng = StdRng::seed_from_u64(999);
+        let mut fresh = ParamStore::new();
+        let _ = Model::new(cp.config, &mut fresh, &mut rng);
+        let _ = LinkPredHead::new(&mut fresh, cp.head_emb, cp.head_classes, &mut rng);
+        fresh
+    };
+    let reencode = |cp: Checkpoint| Checkpoint::from_bytes(&cp.to_bytes()).expect("decodes");
+
+    for missing in ["gcn1.w", "gcn1.b"] {
+        let mut lacking = cp.clone();
+        lacking.params.retain(|(name, _)| name != missing);
+        let lacking = reencode(lacking);
+        assert!(
+            matches!(
+                lacking.load_into(&mut fresh_store()),
+                Err(CheckpointError::StoreMismatch(_))
+            ),
+            "imported a checkpoint without {missing}"
+        );
+        let features = Dense::zeros(n, cp.config.input_f);
+        assert!(
+            matches!(
+                InferenceSession::from_checkpoint(&lacking, features),
+                Err(CheckpointError::StoreMismatch(_))
+            ),
+            "served a checkpoint without {missing}"
+        );
+    }
+
+    let mut repeated = cp.clone();
+    let first = repeated.params[0].clone();
+    repeated.params.push(first);
+    let repeated = reencode(repeated);
     assert!(matches!(
-        ServeModel::from_model(&model, &head, &store),
-        Err(CheckpointError::UnsupportedModel(_))
+        repeated.load_into(&mut fresh_store()),
+        Err(CheckpointError::StoreMismatch(_))
     ));
+    // The complete checkpoint still imports.
+    cp.load_into(&mut fresh_store())
+        .expect("complete checkpoint");
 }
 
 #[test]

@@ -5,30 +5,34 @@
 //! count (`DGNN_THREADS` 1 and 4 are the CI matrix; both are swept here
 //! explicitly as well).
 
-use dgnn_serve::{InferenceSession, ServeLayer, ServeModel};
+use dgnn_autograd::ParamStore;
+use dgnn_models::{LinkPredHead, Model, ModelConfig, ModelKind};
+use dgnn_serve::{Checkpoint, InferenceSession};
 use dgnn_stream::{EdgeEvent, EventKind};
 use dgnn_tensor::{pool, Dense};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// A deterministic two-layer serve model over `input_f` features.
-fn model(input_f: usize, hidden: usize, skip: bool) -> ServeModel {
-    let mat = |rows: usize, cols: usize, salt: usize| {
-        Dense::from_fn(rows, cols, |r, c| {
-            ((r * 29 + c * 13 + salt * 11) % 19) as f32 / 19.0 - 0.5
-        })
+/// A seeded checkpoint of a two-layer `kind` model over `input_f` features.
+fn model(kind: ModelKind, input_f: usize, hidden: usize) -> Checkpoint {
+    let cfg = ModelConfig {
+        kind,
+        input_f,
+        hidden,
+        mprod_window: 3,
+        smoothing_window: 3,
     };
-    let l0 = ServeLayer {
-        w: mat(input_f, hidden, 1),
-        b: Dense::full(1, hidden, 0.03),
-        skip_concat: skip,
-    };
-    let l1 = ServeLayer {
-        w: mat(l0.out_width(), hidden, 2),
-        b: Dense::full(1, hidden, -0.02),
-        skip_concat: skip,
-    };
-    let emb = l1.out_width();
-    ServeModel::from_parts(vec![l0, l1], mat(2 * emb, 2, 3), Dense::zeros(1, 2))
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut store = ParamStore::new();
+    let model = Model::new(cfg, &mut store, &mut rng);
+    let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+    Checkpoint::from_store(&model, &head, &store)
+}
+
+/// A session serving `cp` over an empty graph.
+fn open(cp: &Checkpoint, features: Dense) -> InferenceSession {
+    InferenceSession::from_checkpoint(cp, features).expect("servable")
 }
 
 fn features(n: usize, f: usize) -> Dense {
@@ -54,7 +58,7 @@ fn event(time: u64, op: u8, src: u32, dst: u32, w: f32) -> EdgeEvent {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random streams, random window cuts, both skip-concat variants:
+    /// Random streams, random window cuts, both servable architectures:
     /// after every advance the session equals the full forward bitwise,
     /// and at every swept thread count the recompute lands on the same
     /// bits.
@@ -66,8 +70,10 @@ proptest! {
             1..120,
         ),
         windows in 1usize..6,
-        skip in any::<bool>(),
+        evolve in any::<bool>(),
     ) {
+        let kind = if evolve { ModelKind::EvolveGcn } else { ModelKind::TmGcn };
+        let cp = model(kind, 3, 5);
         let events: Vec<EdgeEvent> = raw
             .iter()
             .enumerate()
@@ -78,7 +84,7 @@ proptest! {
         let mut per_thread_bits: Vec<Vec<u32>> = Vec::new();
         for threads in [1usize, 4] {
             let _g = pool::scoped_threads(Some(threads));
-            let mut session = InferenceSession::new(model(3, 5, skip), features(n, 3));
+            let mut session = open(&cp, features(n, 3));
             let per = events.len().div_ceil(windows);
             for chunk in events.chunks(per) {
                 session.ingest(chunk);
@@ -108,7 +114,7 @@ fn engaged_size_stream_stays_bitwise_equal() {
     let n = 600usize;
     for threads in [1usize, 4] {
         let _g = pool::scoped_threads(Some(threads));
-        let mut session = InferenceSession::new(model(8, 32, false), features(n, 8));
+        let mut session = open(&model(ModelKind::TmGcn, 8, 32), features(n, 8));
         // Bulk load: a ring plus long-range chords.
         let bulk: Vec<EdgeEvent> = (0..n as u32)
             .flat_map(|u| {
@@ -158,7 +164,7 @@ fn wide_and_narrow_windows_stay_bitwise_equal() {
     let n = 600usize;
     for threads in [1usize, 4] {
         let _g = pool::scoped_threads(Some(threads));
-        let mut session = InferenceSession::new(model(8, 32, true), features(n, 8));
+        let mut session = open(&model(ModelKind::EvolveGcn, 8, 32), features(n, 8));
         let bulk: Vec<EdgeEvent> = (0..n as u32)
             .map(|u| EdgeEvent::add(0, u, (u * 7 + 3) % n as u32, 0.5))
             .collect();

@@ -21,7 +21,7 @@ use dgnn_autograd::ParamStore;
 use dgnn_core::metrics::PhaseBreakdown;
 use dgnn_core::prelude::*;
 use dgnn_core::train_single_out_of_core;
-use dgnn_serve::{Checkpoint, InferenceServer, InferenceSession, ServeModel};
+use dgnn_serve::{Checkpoint, InferenceServer, InferenceSession};
 use dgnn_store::StoreConfig;
 use dgnn_stream::EdgeEvent;
 use dgnn_telemetry::{jsonlint, trace};
@@ -79,9 +79,8 @@ fn serve_run() -> (Vec<u64>, u64) {
     let model = Model::new(cfg, &mut store, &mut rng);
     let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
     let cp = Checkpoint::from_store(&model, &head, &store);
-    let serve_model = ServeModel::from_checkpoint(&cp).expect("serve model");
     let features = Dense::from_fn(48, 2, |r, c| ((r * 17 + c * 3) % 13) as f32 / 13.0);
-    let mut session = InferenceSession::new(serve_model, features);
+    let mut session = InferenceSession::from_checkpoint(&cp, features).expect("servable");
     let mut versions = Vec::new();
     for w in 0..4u64 {
         let evs: Vec<EdgeEvent> = (0..6u32)
@@ -253,9 +252,9 @@ fn traced_runs_emit_phase_comm_store_and_serve_spans() {
     };
     let (model, head, store) = fresh_params(serve_cfg);
     let cp = Checkpoint::from_store(&model, &head, &store);
-    let serve_model = ServeModel::from_checkpoint(&cp).expect("serve model");
     let features = Dense::from_fn(64, 4, |r, c| ((r * 13 + c * 5) % 11) as f32 / 11.0);
-    let server = InferenceServer::new(InferenceSession::new(serve_model, features));
+    let server =
+        InferenceServer::new(InferenceSession::from_checkpoint(&cp, features).expect("servable"));
     for w in 0..3u64 {
         let evs: Vec<EdgeEvent> = (0..8)
             .map(|i| EdgeEvent::add(w, (w as u32 * 8 + i) % 64, (i * 7 + 3) % 64, 1.0))
