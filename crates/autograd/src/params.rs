@@ -155,15 +155,6 @@ impl ParamStore {
             offset += n;
         }
     }
-
-    /// L2 norm of the full gradient vector (for logging / clipping).
-    pub fn grad_norm(&self) -> f32 {
-        self.entries
-            .iter()
-            .map(|e| e.grad.data().iter().map(|v| v * v).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -216,13 +207,5 @@ mod tests {
         assert_eq!(gflat, vec![1.0, 1.0, 0.0, 0.0]);
         store.set_grads_from_flat(&[0.5; 4]);
         assert_eq!(store.grad(b).data(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn grad_norm_is_l2() {
-        let mut store = ParamStore::new();
-        let a = store.add("a", Dense::zeros(1, 2));
-        store.add_grad(a, &Dense::from_vec(1, 2, vec![3.0, 4.0]));
-        assert!((store.grad_norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -3,17 +3,20 @@
 //! ... predictions are derived by projecting each embedding matrix Z_t to
 //! the label space via a learnable weight matrix U".
 //!
-//! A front-end of the shared execution engine: the single-rank layout with
-//! the class-weighted classification objective
-//! (`engine::classify::SingleRankClassification`). The motivating
+//! The engine over the single-rank layout with the class-balanced
+//! classification objective (`engine::objective`). The motivating
 //! workload is laundering-account detection on the AML-Sim stand-in
 //! ([`dgnn_graph::gen::amlsim_with_labels`]).
+
+use std::rc::Rc;
 
 use dgnn_autograd::ParamStore;
 use dgnn_models::{ClassificationHead, Model};
 
-use crate::engine::classify::SingleRankClassification;
-use crate::engine::{checkpoint_blocks, run_engine};
+use crate::engine::layout::Layout;
+use crate::engine::objective::Objective;
+use crate::engine::source::{MemoryCarryBank, TaskSource};
+use crate::engine::Engine;
 use crate::metrics::TrainOptions;
 use crate::task::Task;
 
@@ -44,7 +47,28 @@ pub fn train_single_classification(
 ) -> Vec<ClassEpochStats> {
     assert_eq!(labels.len(), task.t, "one label vector per timestep");
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
-    let blocks = checkpoint_blocks(opts, task.t);
-    let mut strategy = SingleRankClassification::new(model, head, task, labels);
-    run_engine(&mut strategy, store, &blocks, opts.epochs, opts.lr)
+    let source = TaskSource::new(task);
+    let mut engine = Engine {
+        model,
+        task,
+        // The epoch record has no transfer bytes or test set to report.
+        layout: Layout {
+            transfer: false,
+            scores_test: false,
+            ..Layout::single(&source, task.n)
+        },
+        objective: Objective::Classify {
+            head,
+            labels: labels.iter().map(|l| Rc::new(l.clone())).collect(),
+        },
+    };
+    let epochs = engine.run(store, opts, &mut MemoryCarryBank::default());
+    epochs
+        .into_iter()
+        .map(|(stats, tally)| ClassEpochStats {
+            loss: stats.loss,
+            accuracy: stats.train_acc,
+            balanced_accuracy: tally.balanced(),
+        })
+        .collect()
 }

@@ -1,20 +1,24 @@
-//! The snapshot-partitioned distributed trainer (paper §4.2, Fig. 3) — a
-//! thin wrapper binding the
-//! `TimePartitioned` (`engine::time_part`) strategy
-//! to the shared execution engine; the layout and its redistributions
-//! live in `crate::engine::time_part`.
+//! The snapshot-partitioned distributed trainer (paper §4.2, Fig. 3), and
+//! the one `run_ranks` body of every distributed layout: each rank thread
+//! builds its parameter replica and its share of the layout, then runs
+//! the engine. The layouts themselves are data (`crate::engine::layout`).
 
+use std::ops::Range;
+
+use dgnn_autograd::ParamStore;
 use dgnn_graph::{DynamicGraph, Snapshot};
 use dgnn_models::{LinkPredHead, Model, ModelConfig};
-use dgnn_sim::{run_ranks, Comm};
+use dgnn_sim::run_ranks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::time_part::TimePartitioned;
-use crate::engine::{run_engine, EngineConfig};
+use crate::engine::layout::Layout;
+use crate::engine::objective::Objective;
+use crate::engine::source::{MemoryCarryBank, TaskSource};
+use crate::engine::vertex_part::RowSplit;
+use crate::engine::{Engine, EngineConfig};
 use crate::metrics::{EpochStats, TrainOptions};
 use crate::task::{prepare_task, Task, TaskOptions};
-use dgnn_autograd::ParamStore;
 
 /// Distributed training with snapshot partitioning over `p` rank threads.
 ///
@@ -36,30 +40,62 @@ pub fn train_distributed_digest(
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
     let econf = EngineConfig::new(*opts, *task_opts);
     let task = prepare_task(raw, next, &cfg, &econf.resolved_task(true));
-    let results = run_ranks(p, |comm| train_rank(comm, &task, cfg, &econf));
-    let (mut stats, digests): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (stats.swap_remove(0), digests)
+    train_ranks(&task, cfg, &econf, Split::Time(p))
 }
 
-fn train_rank(
-    comm: &mut Comm,
+/// How the ranks split the `T × N` grid.
+pub(crate) enum Split<'r> {
+    /// Each block's timesteps among this many ranks (paper §4.2).
+    Time(usize),
+    /// Rank `q` owns rows `ranges[q]` (ascending and contiguous) of every
+    /// snapshot (paper §4.1, §6.5).
+    Rows(&'r [Range<usize>]),
+}
+
+/// Trains `task` over the ranks of `split` and returns rank 0's per-epoch
+/// statistics and every rank's final-parameter digest (rank order).
+pub(crate) fn train_ranks(
     task: &Task,
     cfg: ModelConfig,
     econf: &EngineConfig,
-) -> (Vec<EpochStats>, u64) {
-    // `opts.threads` (installed by the entry fn) reaches this rank thread
+    split: Split,
+) -> (Vec<EpochStats>, Vec<u64>) {
+    let p = match split {
+        Split::Time(p) => p,
+        Split::Rows(ranges) => ranges.len(),
+    };
+    // `opts.threads` (installed by the entry fn) reaches each rank thread
     // via `run_ranks`' override propagation: each rank owns an independent
     // pool of that size.
-    let opts = &econf.train;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut store = ParamStore::new();
-    let model = Model::new(cfg, &mut store, &mut rng);
-    let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
-    let blocks = econf.blocks(task.t);
-    let mut strategy = TimePartitioned::new(comm, &model, &head, task, &blocks);
-    let stats = run_engine(&mut strategy, &mut store, &blocks, opts.epochs, opts.lr);
-    let digest = dgnn_tensor::digest::digest_f32(&store.values_flat());
-    (stats, digest)
+    let results = run_ranks(p, |comm| {
+        let rows = match split {
+            Split::Rows(ranges) => Some(RowSplit::new(task, ranges, comm.rank())),
+            Split::Time(_) => None,
+        };
+        let mut rng = StdRng::seed_from_u64(econf.train.seed);
+        let mut store = ParamStore::new();
+        let model = Model::new(cfg, &mut store, &mut rng);
+        let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+        let source;
+        let layout = match &rows {
+            Some(rows) => Layout::row_split(comm, rows, &model, task.n),
+            None => {
+                source = TaskSource::new(task);
+                Layout::time_split(comm, &source, &model, task.n)
+            }
+        };
+        let mut engine = Engine {
+            model: &model,
+            task,
+            layout,
+            objective: Objective::Link(&head),
+        };
+        let epochs = engine.run(&mut store, &econf.train, &mut MemoryCarryBank::default());
+        let stats: Vec<EpochStats> = epochs.into_iter().map(|(stats, _)| stats).collect();
+        (stats, dgnn_tensor::digest::digest_f32(&store.values_flat()))
+    });
+    let (mut stats, digests): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    (stats.swap_remove(0), digests)
 }
 
 #[cfg(test)]
@@ -140,6 +176,60 @@ mod tests {
                 a.loss,
                 b.loss
             );
+        }
+    }
+
+    /// One rank is one layout: at `p = 1` and one checkpoint block, every
+    /// distributed entry point ends on `train_single`'s parameters, bit for
+    /// bit, for every model (the row split and its single-rank twin without
+    /// the §5.5 pre-aggregation, which it cannot consume). The epoch
+    /// losses differ by design — an f64 sum on one rank, an f32
+    /// all-reduce on ranks — so only the digests are compared.
+    ///
+    /// At `nb = 2`, CD-GCN's digests differ on all three layouts: after
+    /// one epoch, 10 of 434 values by at most 1.5e-7. The likely cause is
+    /// the order of a sum, not a wrong gradient: the collective sums the
+    /// loss-side gradients of a block before the carry seed `dh` joins
+    /// them, while the single rank adds the seed first.
+    #[test]
+    fn one_rank_is_one_layout() {
+        let g = churn_skewed(30, 7, 120, 0.25, 0.9, 9);
+        let raw = g.time_slice(0, 6);
+        let next = g.snapshot(6).clone();
+        let opts = TrainOptions {
+            epochs: 3,
+            lr: 0.05,
+            nb: 1,
+            seed: 3,
+            threads: None,
+        };
+        let single = |cfg: ModelConfig, task_opts: &TaskOptions| {
+            let task = prepare_task(&raw, &next, &cfg, task_opts);
+            let mut rng = StdRng::seed_from_u64(opts.seed);
+            let mut store = ParamStore::new();
+            let model = Model::new(cfg, &mut store, &mut rng);
+            let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
+            crate::train_single(&model, &head, &mut store, &task, &opts);
+            vec![dgnn_tensor::digest::digest_f32(&store.values_flat())]
+        };
+        let rows = TaskOptions {
+            precompute_first_layer: false,
+            ..TaskOptions::default()
+        };
+        for kind in ModelKind::all() {
+            let cfg = tiny_cfg(kind);
+            let time =
+                train_distributed_digest(&raw, &next, cfg, &TaskOptions::default(), &opts, 1);
+            assert_eq!(
+                time.1,
+                single(cfg, &TaskOptions::default()),
+                "{kind:?}: time split"
+            );
+            let want = single(cfg, &rows);
+            let vertex = crate::train_vertex_partitioned_digest(&raw, &next, cfg, &rows, &opts, 1);
+            assert_eq!(vertex.1, want, "{kind:?}: vertex partitioning");
+            let hybrid = crate::train_hybrid_digest(&raw, &next, cfg, &rows, &opts, 1);
+            assert_eq!(hybrid.1, want, "{kind:?}: hybrid");
         }
     }
 }

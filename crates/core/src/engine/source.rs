@@ -2,14 +2,12 @@
 //! abstraction, plus the carry banks that decide where the checkpoint
 //! carries `π_b` live between the forward and backward passes.
 //!
-//! The engine's layer walk used to reach straight into the in-memory
-//! `Task` vectors (`laps`, `features`, `preagg`). It now asks a
-//! `SnapshotSource` for each timestep's operator and layer-0 input, with
-//! two implementations:
+//! The engine's block forward asks its layout's `SnapshotSource` for each
+//! timestep's operator and layer-0 input:
 //!
-//! * [`TaskSource`] — the all-in-memory path, a zero-cost view over a
-//!   prepared [`Task`]. This is what every existing `train_*` entry
-//!   point uses; it reproduces the old plumbing exactly.
+//! * [`TaskSource`] — the all-in-memory view over a prepared [`Task`].
+//! * the row split's row block (`vertex_part::RowSplit`) — a rank's
+//!   feature rows and its rows of each `Ã_t`.
 //! * [`StoreSource`] — the out-of-core path: blocks live in a
 //!   [`TieredStore`] and are faulted (or prefetched) per checkpoint
 //!   block. Construction *spills* the task's Laplacians and inputs to
@@ -71,8 +69,7 @@ pub trait SnapshotSource {
 }
 
 /// The all-in-memory source: a view over a prepared [`Task`], with the
-/// Laplacians `Rc`-shared once at construction (exactly the plumbing the
-/// strategies used to build themselves).
+/// Laplacians `Rc`-shared once at construction.
 pub struct TaskSource<'a> {
     task: &'a Task,
     laps: Vec<Rc<Csr>>,

@@ -1,31 +1,18 @@
-//! The snapshot-partitioned strategy (paper §4.2, Fig. 3).
+//! The time split's data (paper §4.2, Fig. 3).
 //!
 //! Timesteps are split contiguously among ranks within every checkpoint
-//! block. The GCN phase is communication-free; the temporal phase runs on
-//! contiguous vertex chunks after an all-to-all redistribution, and a
-//! second all-to-all restores snapshot ownership for the next layer. The
-//! backward pass mirrors the forward with reversed all-to-alls; parameters
-//! are replicated and their gradients all-reduced once per epoch.
-//!
-//! EvolveGCN takes the communication-free path of paper §5.5: every rank
-//! evolves the (replicated) weight chain locally and only the epoch-end
-//! gradient all-reduce touches the network.
-//!
-//! Both redistributions are `Tape::all_to_all` ops, so the engine's one
-//! backward call runs them reversed.
+//! block. The spatial phase is communication-free; the temporal phase runs
+//! on contiguous vertex chunks after an all-to-all redistribution, and a
+//! second all-to-all restores snapshot ownership for the next layer. This
+//! module builds who owns which timesteps and the row routes of the two
+//! redistributions; `Layout::time_split` binds them to the engine, whose
+//! one backward call runs them reversed.
 
 use std::ops::Range;
 use std::rc::Rc;
 
-use dgnn_autograd::{Communicator, ParamStore, RowRoute, Tape, Var};
-use dgnn_models::{accuracy, CarryState, LinkPredHead, Model, ModelKind};
+use dgnn_autograd::RowRoute;
 use dgnn_partition::{balanced_ranges, VertexChunks};
-use dgnn_sim::{Comm, CommMark};
-use dgnn_tensor::{Csr, Dense};
-
-use crate::engine::{transfer_bytes, BlockRun, ParallelStrategy};
-use crate::metrics::{EpochStats, PhaseBreakdown};
-use crate::task::Task;
 
 /// The timesteps of `block` owned by each rank (contiguous split).
 pub(crate) fn owned_per_rank(block: &Range<usize>, p: usize) -> Vec<Vec<usize>> {
@@ -75,256 +62,12 @@ pub(crate) fn redistribution_routes(
     [Rc::new(to_chunks), Rc::new(to_owners)]
 }
 
-/// Per-epoch link-prediction accumulator (fractional counts: ranks own
-/// sample subsets and the totals are all-reduced at epoch end).
-#[derive(Default)]
-pub(crate) struct RankStats {
-    pub loss_sum: f64,
-    pub correct: f64,
-    pub total: f64,
-}
-
-impl RankStats {
-    /// The epoch record of a distributed layout: the ranks' summed loss and
-    /// accuracy counts, held-out accuracy from the ranks that pass the last
-    /// embeddings `last_z`, and this rank's traffic since `mark`.
-    pub(crate) fn finish(
-        self,
-        comm: &mut Comm,
-        mark: CommMark,
-        (head, store, task): (&LinkPredHead, &ParamStore, &Task),
-        last_z: Option<Dense>,
-    ) -> EpochStats {
-        let mut agg = [
-            self.loss_sum as f32,
-            self.correct as f32,
-            self.total as f32,
-            0.0,
-            0.0,
-        ];
-        if let Some(z) = &last_z {
-            let logits = head.predict(store, z, &task.test);
-            let acc = accuracy(&logits, &task.test.labels);
-            agg[3] = (acc * task.test.labels.len() as f64) as f32;
-            agg[4] = task.test.labels.len() as f32;
-        }
-        comm.all_reduce_sum(&mut agg);
-        EpochStats {
-            loss: f64::from(agg[0]) / task.t as f64,
-            train_acc: f64::from(agg[1]) / f64::from(agg[2]).max(1.0),
-            test_acc: f64::from(agg[3]) / f64::from(agg[4]).max(1.0),
-            comm_bytes: comm.bytes_since(mark),
-            ..EpochStats::default()
-        }
-    }
-}
-
-/// `phase` with this rank's collective time since `mark`.
-pub(crate) fn comm_phase(phase: PhaseBreakdown, comm: &Comm, mark: CommMark) -> PhaseBreakdown {
-    PhaseBreakdown {
-        comm_us: comm.busy_us_since(mark),
-        comm_wait_us: comm.wait_us_since(mark),
-        ..phase
-    }
-}
-
-/// The snapshot-partitioned layout over `p` rank threads.
-pub(crate) struct TimePartitioned<'m, 'c> {
-    comm: &'c mut Comm,
-    model: &'m Model,
-    head: &'m LinkPredHead,
-    task: &'m Task,
-    laps: Vec<Rc<Csr>>,
-    chunks: VertexChunks,
-    naive_bytes: u64,
-    gd_bytes: u64,
-    epoch_mark: Option<CommMark>,
-}
-
-impl<'m, 'c> TimePartitioned<'m, 'c> {
-    /// Builds the strategy: vertex chunking for the temporal phase and this
-    /// rank's transfer accounting over `blocks` (first snapshot naive, rest
-    /// as differences — paper §6.2).
-    pub fn new(
-        comm: &'c mut Comm,
-        model: &'m Model,
-        head: &'m LinkPredHead,
-        task: &'m Task,
-        blocks: &[Range<usize>],
-    ) -> Self {
-        let laps: Vec<Rc<Csr>> = task.laps.iter().cloned().map(Rc::new).collect();
-        let chunks = VertexChunks::new(task.n, comm.world());
-        let rank = comm.rank();
-        let p = comm.world();
-        let (naive_bytes, gd_bytes) = transfer_bytes(blocks.iter().map(|block| {
-            owned_per_rank(block, p)[rank]
-                .iter()
-                .map(|&t| task.graph.snapshot(t).adj())
-                .collect()
-        }));
-        Self {
-            comm,
-            model,
-            head,
-            task,
-            laps,
-            chunks,
-            naive_bytes,
-            gd_bytes,
-            epoch_mark: None,
-        }
-    }
-}
-
-impl<'m> ParallelStrategy<'m> for TimePartitioned<'m, '_> {
-    type Io = ();
-    type Stats = RankStats;
-    type EpochOut = EpochStats;
-
-    fn model(&self) -> &'m Model {
-        self.model
-    }
-
-    fn carry_rows(&self) -> usize {
-        // Temporal carries live on this rank's vertex chunk; EvolveGCN's
-        // weight chain is replicated so its carry shape is chunk-independent.
-        match self.model.kind() {
-            ModelKind::EvolveGcn => self.task.n,
-            _ => self.chunks.range(self.comm.rank()).len(),
-        }
-    }
-
-    fn begin_epoch(&mut self) {
-        self.epoch_mark = Some(self.comm.mark());
-    }
-
-    fn comm(&mut self) -> Option<&mut dyn Communicator> {
-        Some(&mut *self.comm)
-    }
-
-    fn forward_block(
-        &mut self,
-        store: &ParamStore,
-        block: Range<usize>,
-        carry_in: &CarryState,
-    ) -> BlockRun<'m, ()> {
-        let task = self.task;
-        let cfg = *self.model.config();
-        let (rank, p) = (self.comm.rank(), self.comm.world());
-        let owned_all = owned_per_rank(&block, p);
-        let owned = owned_all[rank].clone();
-        let [to_chunks, to_owners] = redistribution_routes(&self.chunks, &owned_all, rank, &block);
-
-        let mut tape = Tape::new();
-        let mut seg = self
-            .model
-            .bind_segment(&mut tape, store, block.clone(), carry_in);
-        let head_vars = self.head.bind(&mut tape, store);
-
-        // Layer-0 inputs for owned timesteps.
-        let mut feats: Vec<Var> = owned
-            .iter()
-            .map(|&t| match &task.preagg {
-                Some(pre) => tape.constant(pre[t].clone()),
-                None => tape.constant(task.features[t].clone()),
-            })
-            .collect();
-
-        for layer in 0..cfg.layers() {
-            let spatial: Vec<Var> = owned
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| {
-                    let x = feats[i];
-                    if layer == 0 && task.preagg.is_some() {
-                        seg.spatial_preagg(&mut tape, t, x)
-                    } else {
-                        seg.spatial(&mut tape, layer, t, Rc::clone(&self.laps[t]), x)
-                    }
-                })
-                .collect();
-            if !self.model.kind().uses_redistribution() {
-                // EvolveGCN: identity temporal, no redistribution.
-                feats = spatial;
-                continue;
-            }
-            // GCN outputs → vertex chunks, the temporal phase on the chunk
-            // over the whole block, temporal outputs → snapshot owners.
-            let comm = &mut *self.comm;
-            let b_in = tape.all_to_all(comm, &spatial, cfg.gcn_out(layer), Rc::clone(&to_chunks));
-            let b_out = seg.temporal(&mut tape, layer, 0, &b_in);
-            let width = cfg.temporal_out(layer);
-            feats = tape.all_to_all(comm, &b_out, width, Rc::clone(&to_owners));
-        }
-
-        // Losses on owned timesteps.
-        let mut loss_vars = Vec::with_capacity(owned.len());
-        let mut logit_vars = Vec::with_capacity(owned.len());
-        for (i, &t) in owned.iter().enumerate() {
-            let z = feats[i];
-            let logits = self.head.logits(&mut tape, head_vars, z, &task.train[t]);
-            let loss = tape.softmax_cross_entropy(logits, Rc::new(task.train[t].labels.clone()));
-            logit_vars.push(logits);
-            loss_vars.push(loss);
-        }
-        BlockRun {
-            tape,
-            seg,
-            loss_weights: vec![1.0 / task.t as f32; loss_vars.len()],
-            loss_vars,
-            logit_vars,
-            z_vars: feats,
-            io: (),
-        }
-    }
-
-    fn observe_block(
-        &mut self,
-        run: &BlockRun<'m, ()>,
-        block: &Range<usize>,
-        stats: &mut RankStats,
-        last_z: &mut Option<Dense>,
-    ) {
-        let owned = owned_per_rank(block, self.comm.world())[self.comm.rank()].clone();
-        for (i, &t) in owned.iter().enumerate() {
-            stats.loss_sum += f64::from(run.tape.value(run.loss_vars[i]).get(0, 0));
-            let logits = run.tape.value(run.logit_vars[i]);
-            let acc = accuracy(logits, &self.task.train[t].labels);
-            stats.correct += acc * self.task.train[t].labels.len() as f64;
-            stats.total += self.task.train[t].labels.len() as f64;
-        }
-        if owned.last() == Some(&(self.task.t - 1)) {
-            *last_z = Some(run.tape.value(*run.z_vars.last().unwrap()).clone());
-        }
-    }
-
-    fn finish_epoch(
-        &mut self,
-        stats: RankStats,
-        last_z: Option<Dense>,
-        store: &ParamStore,
-    ) -> EpochStats {
-        let mark = self.epoch_mark.expect("begin_epoch sets the mark");
-        EpochStats {
-            transfer_naive_bytes: self.naive_bytes,
-            transfer_gd_bytes: self.gd_bytes,
-            ..stats.finish(self.comm, mark, (self.head, store, self.task), last_z)
-        }
-    }
-
-    fn attach_phase(&mut self, out: &mut EpochStats, phase: PhaseBreakdown) {
-        out.phase = comm_phase(
-            phase,
-            self.comm,
-            self.epoch_mark.expect("begin_epoch sets the mark"),
-        );
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use dgnn_sim::run_ranks;
+    use dgnn_autograd::{Tape, Var};
+    use dgnn_sim::{run_ranks, Comm};
+    use dgnn_tensor::Dense;
 
     pub(crate) fn bits(d: &Dense) -> Vec<u32> {
         d.data().iter().map(|v| v.to_bits()).collect()

@@ -1,4 +1,4 @@
-//! The row-split strategy (paper §4.1, §6.4, §6.5).
+//! The row split's data (paper §4.1, §6.4, §6.5).
 //!
 //! Each rank holds a contiguous row block of every snapshot's Laplacian
 //! and feature matrix. The temporal component is communication-free (each
@@ -7,7 +7,7 @@
 //! feature rows other ranks' boundary columns reference, using index lists
 //! pre-computed at setup (paper §6.4: "the indices are pre-computed").
 //!
-//! Two layouts bind it (`crate::vertex_dist`): the vertex-partitioning
+//! Two trainers bind it (`crate::vertex_dist`): the vertex-partitioning
 //! baseline (§4.1) over a hypergraph partition renamed to contiguous
 //! parts, and the hybrid's one-group row split (§6.5) over balanced
 //! ranges of the original ids.
@@ -17,27 +17,18 @@
 //! exchanged rows in that same order, so every SpMM row sums in global
 //! column order. Its backward, the reverse exchange, adds each own row's
 //! gradient contributions in rank order, as `Comm::all_reduce_sum` does.
-//!
 //! Losses are computed from embeddings gathered by `Tape::all_gather`,
-//! with each rank owning a slice of the sample set; the gradient
-//! all-reduce keeps replicas identical. Both collectives are tape ops, so
-//! the engine's one backward call runs them reversed. The scheme faithfully simulates the sequential algorithm, so
-//! its convergence matches snapshot partitioning (paper Fig. 6).
+//! each rank owning a slice of the sample set (`Layout::row_split`), so
+//! the scheme faithfully simulates the sequential algorithm and its
+//! convergence matches snapshot partitioning (paper Fig. 6).
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use dgnn_autograd::{Communicator, ParamStore, Tape, Var};
-use dgnn_graph::EdgeSamples;
-use dgnn_models::{accuracy, CarryState, LinkPredHead, Model, ModelKind};
-use dgnn_partition::balanced_ranges;
-use dgnn_sim::{Comm, CommMark};
 use dgnn_tensor::{Csr, Dense};
 
-use crate::engine::time_part::{comm_phase, RankStats};
-use crate::engine::{BlockRun, ParallelStrategy};
-use crate::metrics::{EpochStats, PhaseBreakdown};
+use crate::engine::source::SnapshotSource;
 use crate::task::Task;
 
 /// Pre-computed exchange plan for one rank: who needs which of my rows,
@@ -45,7 +36,7 @@ use crate::task::Task;
 pub(crate) struct ExchangePlan {
     /// `needed_out[t][q]` = local row indices (within my range) that rank
     /// `q` needs at timestep `t`.
-    needed_out: Vec<Rc<Vec<Vec<u32>>>>,
+    pub needed_out: Vec<Rc<Vec<Vec<u32>>>>,
     /// Local sparse matrices: my Laplacian rows with columns numbered by
     /// global id over my rows and the remote rows they reference — the
     /// row order of `Tape::exchange_rows`.
@@ -142,167 +133,39 @@ pub(crate) fn build_plan(laps: &[Csr], ranges: &[Range<usize>], rank: usize) -> 
     ExchangePlan { needed_out, a_loc }
 }
 
-/// The row-split layout over `p` rank threads.
-pub(crate) struct VertexPartitioned<'m, 'c> {
-    comm: &'c mut Comm,
-    model: &'m Model,
-    head: &'m LinkPredHead,
-    /// The task in the layout's vertex space.
-    task: &'m Task,
-    ranges: &'m [Range<usize>],
-    plan: &'m ExchangePlan,
-    epoch_mark: Option<CommMark>,
+/// One rank's row block of a task: the row split's [`SnapshotSource`],
+/// whose inputs are this rank's feature rows and whose operators are its
+/// rows of each `Ã_t` over the stacked exchanged rows.
+pub(crate) struct RowSplit<'a> {
+    task: &'a Task,
+    pub rows: Range<usize>,
+    pub plan: ExchangePlan,
 }
 
-impl<'m, 'c> VertexPartitioned<'m, 'c> {
-    pub fn new(
-        comm: &'c mut Comm,
-        model: &'m Model,
-        head: &'m LinkPredHead,
-        task: &'m Task,
-        ranges: &'m [Range<usize>],
-        plan: &'m ExchangePlan,
-    ) -> Self {
+impl<'a> RowSplit<'a> {
+    /// Rank `rank`'s block of `task`, whose rows `ranges` split into
+    /// ascending contiguous blocks.
+    pub fn new(task: &'a Task, ranges: &[Range<usize>], rank: usize) -> Self {
         Self {
-            comm,
-            model,
-            head,
             task,
-            ranges,
-            plan,
-            epoch_mark: None,
+            rows: ranges[rank].clone(),
+            plan: build_plan(&task.laps, ranges, rank),
         }
     }
 }
 
-impl<'m> ParallelStrategy<'m> for VertexPartitioned<'m, '_> {
-    /// The sample slices this rank computed losses for.
-    type Io = Vec<EdgeSamples>;
-    type Stats = RankStats;
-    type EpochOut = EpochStats;
-
-    fn model(&self) -> &'m Model {
-        self.model
+impl SnapshotSource for RowSplit<'_> {
+    fn lap(&self, t: usize) -> Rc<Csr> {
+        Rc::clone(&self.plan.a_loc[t])
     }
 
-    fn carry_rows(&self) -> usize {
-        match self.model.kind() {
-            ModelKind::EvolveGcn => self.task.n,
-            _ => self.ranges[self.comm.rank()].len(),
-        }
+    fn input(&self, t: usize) -> Dense {
+        let rows = &self.rows;
+        self.task.features[t].row_block(rows.start, rows.len())
     }
 
-    fn begin_epoch(&mut self) {
-        self.epoch_mark = Some(self.comm.mark());
-    }
-
-    fn comm(&mut self) -> Option<&mut dyn Communicator> {
-        Some(&mut *self.comm)
-    }
-
-    fn forward_block(
-        &mut self,
-        store: &ParamStore,
-        block: Range<usize>,
-        carry_in: &CarryState,
-    ) -> BlockRun<'m, Vec<EdgeSamples>> {
-        let comm = &mut *self.comm;
-        let (task, plan) = (self.task, self.plan);
-        let (rank, p) = (comm.rank(), comm.world());
-        let my = self.ranges[rank].clone();
-
-        let mut tape = Tape::new();
-        let mut seg = self
-            .model
-            .bind_segment(&mut tape, store, block.clone(), carry_in);
-        let head_vars = self.head.bind(&mut tape, store);
-
-        // Layer-0 inputs: my feature rows, per block timestep.
-        let mut feats: Vec<Var> = block
-            .clone()
-            .map(|t| tape.constant(task.features[t].row_block(my.start, my.len())))
-            .collect();
-        for layer in 0..self.model.config().layers() {
-            let mut spatial: Vec<Var> = Vec::with_capacity(block.len());
-            for (i, t) in block.clone().enumerate() {
-                // Send each peer the rows it references; stack what arrives.
-                let x = tape.exchange_rows(comm, feats[i], Rc::clone(&plan.needed_out[t]));
-                let a = Rc::clone(&plan.a_loc[t]);
-                spatial.push(seg.spatial_rows(&mut tape, layer, t, a, x));
-            }
-            feats = seg.temporal(&mut tape, layer, 0, &spatial);
-        }
-
-        // Losses: all-gather full embeddings, each rank scores its slice.
-        let mut z_full = Vec::with_capacity(block.len());
-        let mut loss_vars = Vec::with_capacity(block.len());
-        let mut loss_weights = Vec::with_capacity(block.len());
-        let mut logit_vars = Vec::with_capacity(block.len());
-        let mut sample_slices = Vec::with_capacity(block.len());
-        for (i, t) in block.clone().enumerate() {
-            let zf = tape.all_gather(comm, feats[i]);
-            z_full.push(zf);
-            let slice_range = balanced_ranges(task.train[t].len(), p)[rank].clone();
-            let slice = task.train[t].slice(slice_range);
-            let logits = self.head.logits(&mut tape, head_vars, zf, &slice);
-            let loss = tape.softmax_cross_entropy(logits, Rc::new(slice.labels.clone()));
-            // The timestep's loss is the mean over all samples; this rank's
-            // is the mean over its slice, weighted by slice/total.
-            let w = slice.len() as f32 / task.train[t].len().max(1) as f32 / task.t as f32;
-            logit_vars.push(logits);
-            loss_vars.push(loss);
-            loss_weights.push(w);
-            sample_slices.push(slice);
-        }
-        BlockRun {
-            tape,
-            seg,
-            loss_vars,
-            loss_weights,
-            logit_vars,
-            z_vars: z_full,
-            io: sample_slices,
-        }
-    }
-
-    fn observe_block(
-        &mut self,
-        run: &BlockRun<'m, Vec<EdgeSamples>>,
-        block: &Range<usize>,
-        stats: &mut RankStats,
-        last_z: &mut Option<Dense>,
-    ) {
-        for (i, t) in block.clone().enumerate() {
-            let w = run.io[i].len() as f64 / self.task.train[t].len().max(1) as f64;
-            stats.loss_sum += f64::from(run.tape.value(run.loss_vars[i]).get(0, 0)) * w;
-            let logits = run.tape.value(run.logit_vars[i]);
-            let acc = accuracy(logits, &run.io[i].labels);
-            stats.correct += acc * run.io[i].len() as f64;
-            stats.total += run.io[i].len() as f64;
-        }
-        if block.end == self.task.t {
-            *last_z = Some(run.tape.value(*run.z_vars.last().unwrap()).clone());
-        }
-    }
-
-    fn finish_epoch(
-        &mut self,
-        stats: RankStats,
-        last_z: Option<Dense>,
-        store: &ParamStore,
-    ) -> EpochStats {
-        let mark = self.epoch_mark.expect("begin_epoch sets the mark");
-        // Every rank holds the gathered embeddings; rank 0 scores them.
-        let last_z = last_z.filter(|_| self.comm.rank() == 0);
-        stats.finish(self.comm, mark, (self.head, store, self.task), last_z)
-    }
-
-    fn attach_phase(&mut self, out: &mut EpochStats, phase: PhaseBreakdown) {
-        out.phase = comm_phase(
-            phase,
-            self.comm,
-            self.epoch_mark.expect("begin_epoch sets the mark"),
-        );
+    fn preagg(&self) -> bool {
+        false
     }
 }
 
@@ -311,8 +174,10 @@ mod tests {
     use super::*;
     use crate::engine::time_part::tests::{bits, values};
     use crate::task::{prepare_task, TaskOptions};
+    use dgnn_autograd::Tape;
     use dgnn_graph::gen::churn;
-    use dgnn_models::ModelConfig;
+    use dgnn_models::{ModelConfig, ModelKind};
+    use dgnn_partition::balanced_ranges;
     use dgnn_partition::{contiguous_renaming, partition, Hypergraph, PartitionerConfig};
 
     /// Each rank's SpMM over its stacked rows bit-equals its rows of the

@@ -3,19 +3,19 @@
 //! This runs the paper's exploratory experiment — one group whose members
 //! share *every* snapshot — which trained AMLSim-Large-1/2 on two GPUs.
 //!
-//! It is the row-split layout (`crate::engine::vertex_part`) over
-//! balanced ranges of the original vertex ids, with no renaming: the
-//! same strategy as the vertex-partitioning baseline, which differs only
-//! in where its ranges come from.
+//! It is the row-split layout (`crate::engine::layout`) over balanced
+//! ranges of the original vertex ids, with no renaming: the same layout as
+//! the vertex-partitioning baseline, which differs only in where its
+//! ranges come from.
 
 use dgnn_graph::{DynamicGraph, Snapshot};
 use dgnn_models::ModelConfig;
 use dgnn_partition::balanced_ranges;
 
+use crate::distributed::{train_ranks, Split};
 use crate::engine::EngineConfig;
 use crate::metrics::{EpochStats, TrainOptions};
 use crate::task::{prepare_task, TaskOptions};
-use crate::vertex_dist::train_row_split;
 
 /// Hybrid training: one group of `p` ranks sharing every snapshot row-wise
 /// (the paper's §6.5 two-GPU experiment). Returns per-epoch statistics and
@@ -37,7 +37,8 @@ pub fn train_hybrid_digest(
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
     let econf = EngineConfig::new(*opts, *task_opts);
     let task = prepare_task(raw, next, &cfg, &econf.resolved_task(false));
-    train_row_split(&task, &balanced_ranges(task.n, p), cfg, &econf)
+    let ranges = balanced_ranges(task.n, p);
+    train_ranks(&task, cfg, &econf, Split::Rows(&ranges))
 }
 
 #[cfg(test)]

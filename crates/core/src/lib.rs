@@ -2,13 +2,14 @@
 //!
 //! The paper's primary contribution: efficient training of dynamic GNNs at
 //! scale. One checkpointed execution engine ([`engine`]) owns the training
-//! loop — snapshot schedule, block forward/recompute/backward, optimizer
-//! stepping, workspace reuse — parameterised by a parallelism strategy;
-//! the public entry points are thin bindings of a strategy to the engine:
+//! loop — snapshot schedule, one block forward, recompute and backward,
+//! optimizer stepping, epoch statistics, workspace reuse — over a parallel
+//! layout given as data and a training objective. The public entry points
+//! bind a layout and an objective to the engine:
 //!
-//! * [`single::train_single`] — the single-rank strategy (paper §3) with
+//! * [`single::train_single`] — the single-rank layout (paper §3) with
 //!   graph-difference transfer accounting.
-//! * [`single::train_single_out_of_core`] — the same strategy with the
+//! * [`single::train_single_out_of_core`] — the same layout with the
 //!   snapshot blocks and checkpoint carries spilled to a `dgnn-store`
 //!   tiered store ([`engine::source::StoreSource`]): training works when
 //!   the snapshot working set exceeds the memory budget, bit-identically
@@ -20,22 +21,25 @@
 //!   hypergraph-based vertex-partitioning baseline (paper §4.1, §6.4).
 //! * [`hybrid::train_hybrid_digest`] — intra-snapshot row splitting for
 //!   snapshots too large for one GPU (paper §6.5). It is the same
-//!   row-split strategy as the vertex baseline, over balanced ranges of
+//!   row-split layout as the vertex baseline, over balanced ranges of
 //!   the original vertex ids instead of a renamed hypergraph partition.
 //! * [`classification::train_single_classification`] — the single-rank
-//!   layout with the class-weighted vertex-classification objective (§2.2).
+//!   layout with the class-balanced vertex-classification objective
+//!   (§2.2).
 //! * [`streaming::train_streaming`] — online/continual training over a
 //!   `dgnn-stream` event log: windows close, snapshots materialize
 //!   incrementally, and the model warm-starts from the previous window.
 //!
-//! The three distributed entry points return the per-epoch statistics
-//! together with each rank's final-parameter digest; callers that only
-//! want the statistics take `.0`.
+//! The three distributed entry points share one `run_ranks` body and
+//! return the per-epoch statistics together with each rank's
+//! final-parameter digest; callers that only want the statistics take
+//! `.0`.
 //!
-//! All strategies faithfully simulate the sequential algorithm: identical
-//! seeds produce matching loss/accuracy trajectories (paper Fig. 6), and
-//! `tests/engine_equivalence.rs` pins every entry point's loss stream and
-//! final parameters to pre-engine golden bit patterns.
+//! All layouts faithfully simulate the sequential algorithm: identical
+//! seeds produce matching loss/accuracy trajectories (paper Fig. 6), at
+//! one rank every distributed entry point ends on `train_single`'s
+//! parameters, and `tests/engine_equivalence.rs` pins every entry point's
+//! loss stream and final parameters to pre-engine golden bit patterns.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

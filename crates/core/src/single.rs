@@ -1,6 +1,7 @@
-//! The single-GPU checkpointed trainer (paper §3, Fig. 2) — a thin wrapper
-//! binding the `SingleRank` (`engine::single_rank`)
-//! strategy to the shared execution engine ([`crate::engine`]).
+//! The single-GPU checkpointed trainer (paper §3, Fig. 2): the engine
+//! ([`crate::engine`]) over the single-rank layout with the
+//! link-prediction objective, its blocks drawn from the in-memory task or
+//! from a tiered store.
 //!
 //! The timeline is cut into `nb` blocks. The forward pass walks blocks in
 //! order, keeping only one block's tape alive at a time and storing the
@@ -21,11 +22,35 @@ use dgnn_autograd::ParamStore;
 use dgnn_models::{LinkPredHead, Model};
 use dgnn_store::{StoreConfig, StoreError, StoreStats, TieredStore};
 
-use crate::engine::single_rank::SingleRank;
-use crate::engine::source::{SpillCarryBank, StoreSource, TaskSource};
-use crate::engine::{checkpoint_blocks, run_engine, run_engine_banked};
+use crate::engine::layout::Layout;
+use crate::engine::objective::Objective;
+use crate::engine::source::{
+    CarryBank, MemoryCarryBank, SnapshotSource, SpillCarryBank, StoreSource, TaskSource,
+};
+use crate::engine::{checkpoint_blocks, Engine};
 use crate::metrics::{EpochStats, TrainOptions};
 use crate::task::Task;
+
+/// Trains over the single-rank layout with blocks from `source` and
+/// carries in `bank`.
+fn train_link(
+    model: &Model,
+    head: &LinkPredHead,
+    store: &mut ParamStore,
+    task: &Task,
+    opts: &TrainOptions,
+    source: &dyn SnapshotSource,
+    bank: &mut dyn CarryBank,
+) -> Vec<EpochStats> {
+    let mut engine = Engine {
+        model,
+        task,
+        layout: Layout::single(source, task.n),
+        objective: Objective::Link(head),
+    };
+    let epochs = engine.run(store, opts, bank);
+    epochs.into_iter().map(|(stats, _)| stats).collect()
+}
 
 /// Trains the model with gradient checkpointing on a single simulated GPU
 /// and returns per-epoch statistics.
@@ -37,10 +62,9 @@ pub fn train_single(
     opts: &TrainOptions,
 ) -> Vec<EpochStats> {
     let _threads = dgnn_tensor::pool::scoped_threads(opts.threads);
-    let blocks = checkpoint_blocks(opts, task.t);
     let source = TaskSource::new(task);
-    let mut strategy = SingleRank::new(model, head, task, &source, &blocks);
-    run_engine(&mut strategy, store, &blocks, opts.epochs, opts.lr)
+    let mut bank = MemoryCarryBank::default();
+    train_link(model, head, store, task, opts, &source, &mut bank)
 }
 
 /// [`train_single`] with the snapshot blocks *and* checkpoint carries
@@ -73,15 +97,7 @@ pub fn train_single_out_of_core(
     let tier = Rc::new(RefCell::new(TieredStore::open(cfg)?));
     let source = StoreSource::spill(task, Rc::clone(&tier), &blocks)?;
     let mut bank = SpillCarryBank::new(Rc::clone(&tier));
-    let mut strategy = SingleRank::new(model, head, task, &source, &blocks);
-    let stats = run_engine_banked(
-        &mut strategy,
-        store,
-        &blocks,
-        opts.epochs,
-        opts.lr,
-        &mut bank,
-    );
+    let stats = train_link(model, head, store, task, opts, &source, &mut bank);
     let report = source.stats();
     Ok((stats, report))
 }
@@ -164,52 +180,28 @@ mod tests {
         }
     }
 
-    /// Delegates to a [`SingleRank`] and counts its block runs.
-    struct CountingRuns<'m, 's> {
-        inner: SingleRank<'m, 's>,
-        forward_blocks: usize,
+    /// A [`TaskSource`] that counts block entries: the engine enters a
+    /// block once per block run.
+    struct CountingRuns<'a> {
+        inner: TaskSource<'a>,
+        runs: std::cell::Cell<usize>,
     }
 
-    impl<'m> crate::engine::ParallelStrategy<'m> for CountingRuns<'m, '_> {
-        type Io = ();
-        type Stats = crate::engine::single_rank::SingleStats;
-        type EpochOut = EpochStats;
-
-        fn model(&self) -> &'m Model {
-            self.inner.model()
+    impl SnapshotSource for CountingRuns<'_> {
+        fn lap(&self, t: usize) -> Rc<dgnn_tensor::Csr> {
+            self.inner.lap(t)
         }
 
-        fn carry_rows(&self) -> usize {
-            self.inner.carry_rows()
+        fn input(&self, t: usize) -> dgnn_tensor::Dense {
+            self.inner.input(t)
         }
 
-        fn forward_block(
-            &mut self,
-            store: &ParamStore,
-            block: std::ops::Range<usize>,
-            carry_in: &dgnn_models::CarryState,
-        ) -> crate::engine::BlockRun<'m, ()> {
-            self.forward_blocks += 1;
-            self.inner.forward_block(store, block, carry_in)
+        fn preagg(&self) -> bool {
+            self.inner.preagg()
         }
 
-        fn observe_block(
-            &mut self,
-            run: &crate::engine::BlockRun<'m, ()>,
-            block: &std::ops::Range<usize>,
-            stats: &mut Self::Stats,
-            last_z: &mut Option<dgnn_tensor::Dense>,
-        ) {
-            self.inner.observe_block(run, block, stats, last_z);
-        }
-
-        fn finish_epoch(
-            &mut self,
-            stats: Self::Stats,
-            last_z: Option<dgnn_tensor::Dense>,
-            store: &ParamStore,
-        ) -> EpochStats {
-            self.inner.finish_epoch(stats, last_z, store)
+        fn enter_block(&self, _block: &std::ops::Range<usize>) {
+            self.runs.set(self.runs.get() + 1);
         }
     }
 
@@ -226,14 +218,15 @@ mod tests {
                 seed: 7,
                 threads: None,
             };
-            let blocks = checkpoint_blocks(&opts, task.t);
-            let source = TaskSource::new(&task);
-            let mut counting = CountingRuns {
-                inner: SingleRank::new(&model, &head, &task, &source, &blocks),
-                forward_blocks: 0,
+            let counting = CountingRuns {
+                inner: TaskSource::new(&task),
+                runs: std::cell::Cell::new(0),
             };
-            run_engine(&mut counting, &mut store, &blocks, 1, opts.lr);
-            assert_eq!(counting.forward_blocks, want_runs, "nb={nb}");
+            let mut bank = MemoryCarryBank::default();
+            train_link(
+                &model, &head, &mut store, &task, &opts, &counting, &mut bank,
+            );
+            assert_eq!(counting.runs.get(), want_runs, "nb={nb}");
         }
     }
 

@@ -20,15 +20,15 @@ use std::collections::VecDeque;
 
 use dgnn_autograd::ParamStore;
 use dgnn_graph::{DynamicGraph, Snapshot};
-use dgnn_models::{accuracy, CarryState, LinkPredHead, Model, ModelConfig};
-use dgnn_partition::balanced_ranges;
+use dgnn_models::{accuracy, LinkPredHead, Model, ModelConfig};
 use dgnn_stream::{windows, EventLog, WindowPolicy};
-use dgnn_tensor::Dense;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::single_rank::run_block;
+use crate::engine::layout::Layout;
+use crate::engine::objective::Objective;
 use crate::engine::source::TaskSource;
+use crate::engine::Engine;
 use crate::metrics::{auc, EpochStats, TrainOptions};
 use crate::single::train_single;
 use crate::task::{prepare_task_journaled, Task, TaskOptions};
@@ -175,8 +175,9 @@ pub fn train_streaming(
     out
 }
 
-/// Forward-only pass producing the final timestep's embeddings, then AUC
-/// and accuracy of the held-out samples under the current parameters.
+/// One forward-only run of the single-rank layout over the whole
+/// history, then AUC and accuracy of the held-out samples on the last
+/// timestep's embeddings under the current parameters.
 fn evaluate_holdout(
     model: &Model,
     head: &LinkPredHead,
@@ -184,19 +185,17 @@ fn evaluate_holdout(
     task: &Task,
 ) -> (f64, f64) {
     let source = TaskSource::new(task);
-    let blocks = balanced_ranges(task.t, 1);
-    let mut carry: CarryState = model.initial_carry(task.n);
-    let mut last_z: Option<Dense> = None;
-    for block in &blocks {
-        let run = run_block(model, head, store, task, &source, block.clone(), &carry);
-        if block.end == task.t {
-            last_z = Some(run.tape.value(*run.z_vars.last().unwrap()).clone());
-        }
-        carry = run.seg.carry_out(&run.tape);
-        run.retire();
-    }
-    let z = last_z.expect("stream history is non-empty");
-    let logits = head.predict(store, &z, &task.test);
+    let mut engine = Engine {
+        model,
+        task,
+        layout: Layout::single(&source, task.n),
+        objective: Objective::Link(head),
+    };
+    let carry = model.initial_carry(task.n);
+    let run = engine.forward_block(store, 0..task.t, &carry);
+    let last = run.scored.last().expect("stream history is non-empty");
+    let logits = head.predict(store, run.tape.value(last.z), &task.test);
+    run.retire();
     let scores: Vec<f32> = (0..logits.rows())
         .map(|r| logits.get(r, 1) - logits.get(r, 0))
         .collect();

@@ -1,26 +1,21 @@
 //! The vertex-partitioned (hypergraph) baseline trainer (paper §4.1,
-//! §6.4), and the one `run_ranks` body of the row-split layout that it
-//! shares with the hybrid trainer ([`crate::hybrid`]).
+//! §6.4): the row-split layout, which it shares with the hybrid trainer
+//! ([`crate::hybrid`]), over a hypergraph partition.
 //!
 //! The entry point owns the setup that is genuinely its own — hypergraph
 //! partitioning, the contiguous renaming, and relabelling the samples so
-//! both schemes train on the same task. The exchange plan and the layout's
-//! collectives live in `crate::engine::vertex_part`.
-
-use std::ops::Range;
+//! both schemes train on the same task. The exchange plan lives in
+//! `crate::engine::vertex_part`, the layout in `crate::engine::layout`.
 
 use dgnn_graph::{DynamicGraph, Snapshot};
-use dgnn_models::{LinkPredHead, Model, ModelConfig};
+use dgnn_models::ModelConfig;
 use dgnn_partition::{contiguous_renaming, partition, Hypergraph, PartitionerConfig};
-use dgnn_sim::run_ranks;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::engine::vertex_part::{build_plan, part_ranges, VertexPartitioned};
-use crate::engine::{run_engine, EngineConfig};
+use crate::distributed::{train_ranks, Split};
+use crate::engine::vertex_part::part_ranges;
+use crate::engine::EngineConfig;
 use crate::metrics::{EpochStats, TrainOptions};
-use crate::task::{prepare_task, Task, TaskOptions};
-use dgnn_autograd::ParamStore;
+use crate::task::{prepare_task, TaskOptions};
 
 /// Trains with hypergraph-based vertex partitioning over `p` rank threads
 /// and returns per-epoch statistics (identical on every rank) and the FNV
@@ -56,38 +51,8 @@ pub fn train_vertex_partitioned_digest(
     // their endpoints, rather than re-sampling in the renamed space.
     renamed.train = task.train.iter().map(|s| s.relabel(&perm)).collect();
     renamed.test = task.test.relabel(&perm);
-    train_row_split(&renamed, &part_ranges(&part, p), cfg, &econf)
-}
-
-/// Trains the row-split layout with rank `q` owning rows `ranges[q]` of
-/// `task` (ascending and contiguous), and returns rank 0's per-epoch
-/// statistics and every rank's final-parameter digest.
-pub(crate) fn train_row_split(
-    task: &Task,
-    ranges: &[Range<usize>],
-    cfg: ModelConfig,
-    econf: &EngineConfig,
-) -> (Vec<EpochStats>, Vec<u64>) {
-    let results = run_ranks(ranges.len(), |comm| {
-        let plan = build_plan(&task.laps, ranges, comm.rank());
-        let mut rng = StdRng::seed_from_u64(econf.train.seed);
-        let mut store = ParamStore::new();
-        let model = Model::new(cfg, &mut store, &mut rng);
-        let head = LinkPredHead::new(&mut store, cfg.embedding_dim(), 2, &mut rng);
-        let blocks = econf.blocks(task.t);
-        let mut strategy = VertexPartitioned::new(comm, &model, &head, task, ranges, &plan);
-        let stats = run_engine(
-            &mut strategy,
-            &mut store,
-            &blocks,
-            econf.train.epochs,
-            econf.train.lr,
-        );
-        let digest = dgnn_tensor::digest::digest_f32(&store.values_flat());
-        (stats, digest)
-    });
-    let (mut stats, digests): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    (stats.swap_remove(0), digests)
+    let ranges = part_ranges(&part, p);
+    train_ranks(&renamed, cfg, &econf, Split::Rows(&ranges))
 }
 
 #[cfg(test)]

@@ -243,7 +243,9 @@ impl<'m> Segment<'m> {
         self.t_range.clone()
     }
 
-    /// GCN forward for global timestep `t` at `layer`.
+    /// GCN forward for global timestep `t` at `layer`. `a_hat` is the whole
+    /// `Ã_t`, or a rank's rows of it whose columns cover the stacked input
+    /// `x` of the row split.
     pub fn spatial(&self, tape: &mut Tape, layer: usize, t: usize, a_hat: Rc<Csr>, x: Var) -> Var {
         assert!(self.t_range.contains(&t), "timestep outside segment");
         match self.model.cfg.kind {
@@ -399,31 +401,6 @@ impl<'m> Segment<'m> {
             })
             .collect();
         CarryGrads { layers }
-    }
-
-    /// Row-local GCN forward for the vertex-partitioned and hybrid schemes:
-    /// `a_local` holds this rank's rows of `Ã_t` (columns cover the stacked
-    /// input `x_stacked`), producing this rank's rows of the layer output.
-    pub fn spatial_rows(
-        &self,
-        tape: &mut Tape,
-        layer: usize,
-        t: usize,
-        a_local: Rc<Csr>,
-        x_stacked: Var,
-    ) -> Var {
-        assert!(self.t_range.contains(&t), "timestep outside segment");
-        match self.model.cfg.kind {
-            ModelKind::EvolveGcn => {
-                let SegmentLayerState::Egcn { weights, .. } = &self.layer_states[layer] else {
-                    unreachable!()
-                };
-                let w = weights[t - self.t_range.start];
-                let b = self.gcn_vars[layer].bias();
-                self.model.gcn[layer].forward_with_weight(tape, w, b, a_local, x_stacked)
-            }
-            _ => self.model.gcn[layer].forward(tape, self.gcn_vars[layer], a_local, x_stacked),
-        }
     }
 
     /// Backward seeds that inject the next block's carry gradients onto this

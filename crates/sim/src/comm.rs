@@ -69,7 +69,7 @@ const COLLECTIVE_BIT: u64 = 1 << 63;
 const ABORT_POLL: Duration = Duration::from_millis(2);
 
 /// A mark taken by [`Comm::mark`]; scopes byte-volume and collective
-/// busy/wait-time accounting to the strategy/epoch that holds it.
+/// busy/wait-time accounting to the layout/epoch that holds it.
 #[derive(Clone, Copy, Debug)]
 pub struct CommMark {
     bytes: u64,
@@ -226,8 +226,8 @@ impl Comm {
 
     /// Opens an accounting scope: a mark whose `*_since` counterparts
     /// report bytes/busy/wait accumulated after the mark. The engine
-    /// hands each `ParallelStrategy` a per-epoch mark so communication is
-    /// attributed to the strategy (and epoch) that produced it.
+    /// takes a mark at the top of every epoch so communication is
+    /// attributed to the rank's layout (and epoch) that produced it.
     pub fn mark(&self) -> CommMark {
         CommMark {
             bytes: self.bytes_sent,

@@ -10,22 +10,6 @@ pub fn glorot_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Dense {
     Dense::from_fn(rows, cols, |_, _| rng.gen_range(-limit..limit))
 }
 
-/// Uniform initialisation on `[-limit, limit]`.
-pub fn uniform(rows: usize, cols: usize, limit: f32, rng: &mut impl Rng) -> Dense {
-    Dense::from_fn(rows, cols, |_, _| rng.gen_range(-limit..limit))
-}
-
-/// Standard-normal initialisation scaled by `std`.
-pub fn normal(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Dense {
-    // Box-Muller transform; rand's distributions feature is avoided to keep
-    // the dependency surface minimal.
-    Dense::from_fn(rows, cols, |_, _| {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        std * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,20 +29,5 @@ mod tests {
         let a = glorot_uniform(4, 4, &mut StdRng::seed_from_u64(1));
         let b = glorot_uniform(4, 4, &mut StdRng::seed_from_u64(1));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn normal_moments_roughly_correct() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let w = normal(64, 64, 2.0, &mut rng);
-        let mean = w.mean();
-        let var = w
-            .data()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / (w.len() as f32 - 1.0);
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }
 }
